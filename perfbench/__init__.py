@@ -1,0 +1,5 @@
+"""End-to-end benchmark of the reproduction: workloads, tracing and checks.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/NOTES.md``.
+"""
