@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -30,12 +31,19 @@ LAYOUT_VARIANTS = ("original", "lifted", "protected")
 _LAYOUT_ALIASES = {"proposed": "protected"}
 
 
+#: Most seeds one sweep may name, in either spelling.  A sweep expands into
+#: one build per seed, so the bound keeps a ``{"start": 0, "count": 10**9}``
+#: request from materializing a billion-element tuple.
+MAX_SWEEP_SEEDS = 10_000
+
+
 def _normalize_seeds(seeds: Any) -> Optional[Tuple[int, ...]]:
     """Canonicalize a sweep-seed payload to an explicit tuple of ints.
 
     Accepted spellings: ``None`` (single-seed scenario), an iterable of ints,
     or a ``{"start": s, "count": n}`` range.  Both spellings of the same seed
     set normalize — and therefore serialize, hash and expand — identically.
+    Either spelling may name at most :data:`MAX_SWEEP_SEEDS` seeds.
     """
     if seeds is None:
         return None
@@ -52,6 +60,9 @@ def _normalize_seeds(seeds: Any) -> Optional[Tuple[int, ...]]:
         count = int(seeds["count"])
         if count <= 0:
             raise ValueError(f"seeds count must be positive, got {count}")
+        if count > MAX_SWEEP_SEEDS:
+            raise ValueError(
+                f"seeds count {count} exceeds the limit of {MAX_SWEEP_SEEDS}")
         return tuple(range(start, start + count))
     if isinstance(seeds, (str, bytes)):
         raise TypeError(
@@ -61,7 +72,10 @@ def _normalize_seeds(seeds: Any) -> Optional[Tuple[int, ...]]:
     values = tuple(int(seed) for seed in seeds)
     if not values:
         raise ValueError("seeds must not be empty (use None for single-seed)")
-    duplicates = sorted({seed for seed in values if values.count(seed) > 1})
+    if len(values) > MAX_SWEEP_SEEDS:
+        raise ValueError(
+            f"{len(values)} seeds exceed the limit of {MAX_SWEEP_SEEDS}")
+    duplicates = sorted(seed for seed, n in Counter(values).items() if n > 1)
     if duplicates:
         raise ValueError(
             f"duplicate seed(s) in sweep: {', '.join(map(str, duplicates))}"

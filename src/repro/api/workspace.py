@@ -1354,9 +1354,9 @@ class Workspace:
                 self._stats["scenario_hits"] += 1
                 return self._scenarios[spec_hash]
             self._stats["scenario_misses"] += 1
-        start = time.time()
+        start = time.perf_counter()
         result = self._execute(spec, spec_hash)
-        result.elapsed_s = time.time() - start
+        result.elapsed_s = time.perf_counter() - start
         self._emit(
             "scenario_completed", spec_hash=spec_hash, seed=spec.seed,
             benchmark=spec.benchmark, scheme=spec.scheme,
@@ -1432,7 +1432,7 @@ class Workspace:
             )
         sweeps: List[SweepResult] = []
         for spec, group in zip(specs, expanded):
-            start = time.time()
+            start = time.perf_counter()
             results: List[ScenarioResult] = []
             seeds: List[int] = []
             failures: List[FailureRecord] = []
@@ -1448,7 +1448,7 @@ class Workspace:
                     self._record_failure(record)
             sweeps.append(
                 _build_sweep_result(
-                    spec, tuple(seeds), results, time.time() - start,
+                    spec, tuple(seeds), results, time.perf_counter() - start,
                     failures=failures,
                 )
             )

@@ -136,9 +136,9 @@ def run_all(config: Optional[ExperimentConfig] = None,
         prewarm_artifacts(benchmarks_for(selected, config), config, jobs=jobs)
     results: Dict[str, Table] = {}
     for name in selected:
-        start = time.time()
+        start = time.perf_counter()
         results[name] = EXPERIMENTS[name](config)
-        results[name].title += f"   [{time.time() - start:.1f}s]"
+        results[name].title += f"   [{time.perf_counter() - start:.1f}s]"
     return results
 
 

@@ -24,7 +24,8 @@ Caching and the ``geometry_version`` contract
 Building the arrays is linear in the design size, so the views are cached:
 
 * :func:`placement_arrays` caches on the :class:`PlacementResult`, keyed by
-  ``(netlist.name, netlist.topology_version, placement.geometry_version)``;
+  the netlist object, its ``topology_version`` and
+  ``placement.geometry_version``;
 * :meth:`Layout.arrays <repro.layout.layout.Layout.arrays>` caches on the
   :class:`~repro.layout.layout.Layout`, additionally keyed by the layout's
   own ``geometry_version``.
@@ -40,6 +41,7 @@ defenses must follow suit.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
@@ -266,24 +268,157 @@ class UniformGridIndex:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class NetlistSkeleton:
+    """The placement-independent connectivity of one netlist, in id space.
+
+    Built once per netlist object and ``topology_version`` (see
+    :func:`netlist_skeleton`) and remapped onto every placement of that
+    netlist by index gathers (:meth:`PlacementSkeleton.build`).  Gate *ids*
+    number ``netlist.gates`` in order, followed by any gate names the nets
+    reference that ``netlist.gates`` lacks; port ids number the port names
+    the nets reference (primary-input nets, primary outputs).
+
+    Connection pairs and HPWL terminal *candidates* follow ``netlist.nets``
+    iteration order (driver first, then ``net.sinks``, then the PO ports).
+    A candidate is one terminal slot: a gate id, a port id, or — for the
+    driver slot — both, the port standing in when the driver gate is not
+    placed.  ``-1`` marks an absent id.
+    """
+
+    gate_names: List[str]          # netlist gate order (ids 0..num_gates-1)
+    gate_ids: Dict[str, int]       # every referenced gate name -> id
+    gate_widths: np.ndarray        # (num ids + 1,) float64; 0.0 off-netlist
+    port_ids: Dict[str, int]
+    net_names: List[str]
+    net_index_by_name: Dict[str, int]
+    pair_driver: np.ndarray        # (num_pairs,) intp gate ids
+    pair_sink: np.ndarray
+    pair_net: np.ndarray           # (num_pairs,) intp net indices
+    cand_gate: np.ndarray          # (num_candidates,) intp gate id or -1
+    cand_port: np.ndarray          # (num_candidates,) intp port id or -1
+    cand_offsets: np.ndarray       # (num_nets + 1,) intp CSR over candidates
+
+    @staticmethod
+    def build(netlist: Netlist) -> "NetlistSkeleton":
+        gate_names = list(netlist.gates)
+        gate_ids = {name: i for i, name in enumerate(gate_names)}
+        port_ids: Dict[str, int] = {}
+
+        def gate_id(name: str) -> int:
+            return gate_ids.setdefault(name, len(gate_ids))
+
+        def port_id(name: str) -> int:
+            return port_ids.setdefault(name, len(port_ids))
+
+        net_names = list(netlist.nets)
+        pair_driver: List[int] = []
+        pair_sink: List[int] = []
+        pair_net: List[int] = []
+        cand_gate: List[int] = []
+        cand_port: List[int] = []
+        cand_offsets: List[int] = [0]
+        for net_idx, net in enumerate(netlist.nets.values()):
+            sink_ids = [gate_id(sink_gate) for sink_gate, _pin in net.sinks]
+            driver = gate_id(net.driver[0]) if net.driver is not None else -1
+            pi_port = port_id(net.name) if net.is_primary_input else -1
+            if driver >= 0:
+                pair_driver.extend([driver] * len(sink_ids))
+                pair_sink.extend(sink_ids)
+                pair_net.extend([net_idx] * len(sink_ids))
+            if driver >= 0 or pi_port >= 0:
+                cand_gate.append(driver)
+                cand_port.append(pi_port)
+            cand_gate.extend(sink_ids)
+            cand_port.extend([-1] * len(sink_ids))
+            for po in net.primary_outputs:
+                cand_gate.append(-1)
+                cand_port.append(port_id(po))
+            cand_offsets.append(len(cand_gate))
+
+        gates = netlist.gates
+        # One trailing slot past the last id: index -1 lands there.
+        gate_widths = np.zeros(len(gate_ids) + 1, dtype=np.float64)
+        gate_widths[:len(gate_names)] = [gates[name].cell.width_um
+                                         for name in gate_names]
+        return NetlistSkeleton(
+            gate_names=gate_names,
+            gate_ids=gate_ids,
+            gate_widths=gate_widths,
+            port_ids=port_ids,
+            net_names=net_names,
+            net_index_by_name={name: i for i, name in enumerate(net_names)},
+            pair_driver=np.asarray(pair_driver, dtype=np.intp),
+            pair_sink=np.asarray(pair_sink, dtype=np.intp),
+            pair_net=np.asarray(pair_net, dtype=np.intp),
+            cand_gate=np.asarray(cand_gate, dtype=np.intp),
+            cand_port=np.asarray(cand_port, dtype=np.intp),
+            cand_offsets=np.asarray(cand_offsets, dtype=np.intp),
+        )
+
+
+#: Skeleton memo keyed by netlist identity, validated by the netlist's
+#: ``topology_version`` (the ``netlist_fingerprint`` memo pattern): a seed
+#: sweep places one netlist many times and walks its nets once.
+_netlist_skeletons: "weakref.WeakKeyDictionary[Netlist, Tuple[int, NetlistSkeleton]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def netlist_skeleton(netlist: Netlist) -> NetlistSkeleton:
+    """The cached :class:`NetlistSkeleton` of ``netlist``."""
+    cached = _netlist_skeletons.get(netlist)
+    if cached is not None and cached[0] == netlist.topology_version:
+        return cached[1]
+    skeleton = NetlistSkeleton.build(netlist)
+    _netlist_skeletons[netlist] = (netlist.topology_version, skeleton)
+    return skeleton
+
+
+def _placed_gate_ids(nl: NetlistSkeleton, placement: "PlacementResult"
+                     ) -> Tuple[np.ndarray, List[str]]:
+    """Gate ids (``-1`` = unknown name) and names of the placed gates, in
+    placement order — straight from the decoded columns when possible."""
+    columns = placement.lazy_columns("gate_positions")
+    if columns is None:
+        names = list(placement.gate_positions)
+    else:
+        order = columns.gate_order
+        if columns.gate_names is nl.gate_names:
+            return order.astype(np.intp), [nl.gate_names[i] for i in order.tolist()]
+        names = [columns.gate_names[i] for i in order.tolist()]
+    ids = nl.gate_ids
+    return (np.fromiter((ids.get(name, -1) for name in names),
+                        dtype=np.intp, count=len(names)), names)
+
+
+def _placed_port_names(placement: "PlacementResult") -> List[str]:
+    columns = placement.lazy_columns("port_positions")
+    if columns is None:
+        return list(placement.port_positions)
+    return list(columns.port_names)
+
+
 @dataclass
 class PlacementSkeleton:
     """The geometry-independent half of a placement view.
 
-    Names, index maps, connection pairs, HPWL terminal indices and cell
-    widths depend only on the netlist topology and the *set/order* of placed
-    objects — not on their coordinates — so they survive pure geometry edits
-    (gate moves) and are cached separately from the coordinate columns.
+    Names, connection pairs, HPWL terminal indices and cell widths depend
+    only on the netlist topology and the *set/order* of placed objects — not
+    on their coordinates.  They are the netlist's cached
+    :class:`NetlistSkeleton` remapped onto the placement's gate and port
+    order by index gathers, so rebuilding them after a gate move is cheap.
     """
 
     gate_names: List[str]
-    gate_index: Dict[str, int]
+    #: Netlist skeleton id of each placed gate (-1 for unknown names; ids
+    #: past the netlist's gates for names only the nets reference).
+    gate_ids: np.ndarray       # (num_gates,) intp
     gate_widths: np.ndarray    # (num_gates,) float64 (0.0 for unknown gates)
     #: Placed gate names absent from the netlist (consumers that need strict
     #: name resolution, e.g. the legality check, raise on these).
     missing_gates: List[str]
     port_names: List[str]
-    port_index: Dict[str, int]
     net_names: List[str]
     net_index_by_name: Dict[str, int]
     #: Driver→sink gate connection pairs (indices into the gate arrays).
@@ -297,87 +432,52 @@ class PlacementSkeleton:
 
     @staticmethod
     def build(netlist: Netlist, placement: "PlacementResult") -> "PlacementSkeleton":
-        gate_names = list(placement.gate_positions)
-        gate_index = {name: i for i, name in enumerate(gate_names)}
-        gates = netlist.gates
-        gate_widths = np.asarray(
-            [gates[name].cell.width_um if name in gates else 0.0
-             for name in gate_names],
-            dtype=np.float64,
-        )
-        missing_gates = [name for name in gate_names if name not in gates]
-        port_names = list(placement.port_positions)
-        port_index = {name: i for i, name in enumerate(port_names)}
-
+        nl = netlist_skeleton(netlist)
+        placed_ids, gate_names = _placed_gate_ids(nl, placement)
+        port_names = _placed_port_names(placement)
         num_gates = len(gate_names)
-        net_names: List[str] = []
-        pair_driver: List[int] = []
-        pair_sink: List[int] = []
-        pair_net: List[int] = []
-        term_idx: List[int] = []
-        term_offsets: List[int] = [0]
-        for net_idx, (net_name, net) in enumerate(netlist.nets.items()):
-            net_names.append(net_name)
-            # -- connection pairs (gate driver → gate sinks), legacy order --
-            driver_idx = (
-                gate_index.get(net.driver[0]) if net.driver is not None else None
-            )
-            if driver_idx is not None:
-                for sink_gate, _pin in net.sinks:
-                    sink_idx = gate_index.get(sink_gate)
-                    if sink_idx is not None:
-                        pair_driver.append(driver_idx)
-                        pair_sink.append(sink_idx)
-                        pair_net.append(net_idx)
-            # -- HPWL terminals, legacy order -------------------------------
-            if driver_idx is not None:
-                term_idx.append(driver_idx)
-            elif net.is_primary_input:
-                pi = port_index.get(net.name)
-                if pi is not None:
-                    term_idx.append(num_gates + pi)
-            for sink_gate, _pin in net.sinks:
-                sink_idx = gate_index.get(sink_gate)
-                if sink_idx is not None:
-                    term_idx.append(sink_idx)
-            for po in net.primary_outputs:
-                pi = port_index.get(po)
-                if pi is not None:
-                    term_idx.append(num_gates + pi)
-            term_offsets.append(len(term_idx))
 
+        # id -> placement index maps, each with a trailing -1 slot so that an
+        # absent id (-1) gathers -1.
+        gate_map = np.full(len(nl.gate_ids) + 1, -1, dtype=np.intp)
+        known = placed_ids >= 0
+        gate_map[placed_ids[known]] = np.nonzero(known)[0]
+        port_map = np.full(len(nl.port_ids) + 1, -1, dtype=np.intp)
+        port_ids = nl.port_ids
+        for index, name in enumerate(port_names):
+            pid = port_ids.get(name)
+            if pid is not None:
+                port_map[pid] = index
+
+        driver = gate_map[nl.pair_driver]
+        sink = gate_map[nl.pair_sink]
+        kept = (driver >= 0) & (sink >= 0)
+
+        gate_term = gate_map[nl.cand_gate]
+        port_term = port_map[nl.cand_port]
+        term = np.where(
+            gate_term >= 0, gate_term,
+            np.where(port_term >= 0, num_gates + port_term, -1),
+        )
+        placed = term >= 0
+        placed_before = np.concatenate(([0], np.cumsum(placed, dtype=np.intp)))
+
+        off_netlist = placed_ids < 0
+        off_netlist |= placed_ids >= len(nl.gate_names)
         return PlacementSkeleton(
             gate_names=gate_names,
-            gate_index=gate_index,
-            gate_widths=gate_widths,
-            missing_gates=missing_gates,
+            gate_ids=placed_ids,
+            gate_widths=nl.gate_widths[placed_ids],
+            missing_gates=[gate_names[i] for i in np.nonzero(off_netlist)[0]],
             port_names=port_names,
-            port_index=port_index,
-            net_names=net_names,
-            net_index_by_name={name: i for i, name in enumerate(net_names)},
-            pair_driver=np.asarray(pair_driver, dtype=np.intp),
-            pair_sink=np.asarray(pair_sink, dtype=np.intp),
-            pair_net=np.asarray(pair_net, dtype=np.intp),
-            term_indices=np.asarray(term_idx, dtype=np.intp),
-            term_offsets=np.asarray(term_offsets, dtype=np.intp),
+            net_names=nl.net_names,
+            net_index_by_name=nl.net_index_by_name,
+            pair_driver=driver[kept],
+            pair_sink=sink[kept],
+            pair_net=nl.pair_net[kept],
+            term_indices=term[placed],
+            term_offsets=placed_before[nl.cand_offsets],
         )
-
-
-def _placement_skeleton(netlist: Netlist,
-                        placement: "PlacementResult") -> PlacementSkeleton:
-    """Cached :class:`PlacementSkeleton` (survives geometry-only edits)."""
-    key = (
-        netlist.name,
-        netlist.topology_version,
-        len(placement.gate_positions),
-        len(placement.port_positions),
-    )
-    cached = placement.__dict__.get("_skeleton_cache")
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    skeleton = PlacementSkeleton.build(netlist, placement)
-    placement.__dict__["_skeleton_cache"] = (key, skeleton)
-    return skeleton
 
 
 @dataclass
@@ -391,8 +491,8 @@ class PlacementArrays:
     — so vectorized consumers reproduce the historical results bit-exactly.
 
     The view is split into the geometry-independent :class:`PlacementSkeleton`
-    (shared across pure gate moves) and the coordinate columns rebuilt per
-    ``geometry_version``.
+    (a remap of the netlist's cached :class:`NetlistSkeleton`) and the
+    coordinate columns; both are rebuilt per ``geometry_version``.
     """
 
     skeleton: PlacementSkeleton
@@ -408,10 +508,6 @@ class PlacementArrays:
     @property
     def gate_names(self) -> List[str]:
         return self.skeleton.gate_names
-
-    @property
-    def gate_index(self) -> Dict[str, int]:
-        return self.skeleton.gate_index
 
     @property
     def gate_widths(self) -> np.ndarray:
@@ -500,26 +596,9 @@ class PlacementArrays:
 
     @staticmethod
     def build(netlist: Netlist, placement: "PlacementResult") -> "PlacementArrays":
-        skeleton = _placement_skeleton(netlist, placement)
-        # Coordinates are gathered in the skeleton's (insertion) gate order —
-        # by name, so a reordered-but-equal positions dict still lines up.
-        positions = placement.gate_positions
-        if skeleton.gate_names:
-            gate_xy = np.asarray(
-                [(positions[name].x, positions[name].y)
-                 for name in skeleton.gate_names],
-                dtype=np.float64,
-            )
-        else:
-            gate_xy = np.empty((0, 2), dtype=np.float64)
-        ports = placement.port_positions
-        if skeleton.port_names:
-            port_xy = np.asarray(
-                [(ports[name].x, ports[name].y) for name in skeleton.port_names],
-                dtype=np.float64,
-            )
-        else:
-            port_xy = np.empty((0, 2), dtype=np.float64)
+        skeleton = PlacementSkeleton.build(netlist, placement)
+        gate_xy = _coordinates(placement, "gate_positions", skeleton.gate_names)
+        port_xy = _coordinates(placement, "port_positions", skeleton.port_names)
         if skeleton.term_indices.size:
             combined_xy = np.concatenate([gate_xy, port_xy])
             term_x = combined_xy[skeleton.term_indices, 0]
@@ -536,6 +615,28 @@ class PlacementArrays:
         )
 
 
+def _coordinates(placement: "PlacementResult", attr: str,
+                 names: List[str]) -> np.ndarray:
+    """``(n, 2)`` float64 coordinates of the gates or ports ``names``.
+
+    Unmaterialized decoded columns already are the placement order; a
+    position dict is gathered by name, so a reordered-but-equal dict still
+    lines up with the skeleton.
+    """
+    columns = placement.lazy_columns(attr)
+    if columns is not None:
+        if attr == "gate_positions":
+            return np.column_stack((columns.gate_x, columns.gate_y))
+        return np.column_stack((columns.port_x, columns.port_y))
+    if not names:
+        return np.empty((0, 2), dtype=np.float64)
+    positions = getattr(placement, attr)
+    return np.asarray(
+        [(positions[name].x, positions[name].y) for name in names],
+        dtype=np.float64,
+    )
+
+
 def placement_arrays(netlist: Netlist, placement: "PlacementResult") -> PlacementArrays:
     """Return the (cached) :class:`PlacementArrays` view of ``placement``.
 
@@ -544,7 +645,9 @@ def placement_arrays(netlist: Netlist, placement: "PlacementResult") -> Placemen
     ``placement.geometry_version`` (or structurally editing the netlist)
     invalidates it.
     """
-    key = (netlist.name, netlist.topology_version, placement.geometry_version)
+    # The netlist skeleton stands for the netlist object and its
+    # topology_version (it is memoized on both).
+    key = (netlist_skeleton(netlist), placement.geometry_version)
     cached = placement.__dict__.get(GEOMETRY_CACHE_ATTR)
     if cached is not None and cached[0] == key:
         return cached[1]
@@ -654,7 +757,10 @@ class RoutingArrays:
     driver_x: np.ndarray          # (num_nets,) float64 (0.0 without driver)
     driver_y: np.ndarray
     has_driver: np.ndarray        # (num_nets,) bool
-    driver_points: List[Optional[Point]]
+    #: Router-built backings share the placement's driver Point objects;
+    #: decoded backings pass None and shells build ``driver_point`` from
+    #: ``driver_x``/``driver_y`` on first access (:meth:`driver_point`).
+    driver_points: Optional[List[Optional[Point]]]
     dvia_starts: np.ndarray       # (num_nets + 1,) int64
     dvia_x: np.ndarray
     dvia_y: np.ndarray
@@ -718,30 +824,39 @@ class RoutingArrays:
     def lazy_nets(self) -> "Dict[str, RoutedNet]":
         """Build the routing dict of lazy ``RoutedNet`` shells over this view.
 
-        Each shell carries only ``name``/``driver_point`` plus a reference
-        back here; ``connections``/``driver_vias`` appear in its ``__dict__``
-        on first access (``RoutedNet.__getattr__`` →
-        :meth:`materialize_into`).
+        Each shell carries only ``name`` (and ``driver_point`` when this
+        backing holds driver points) plus a reference back here;
+        ``connections``/``driver_vias`` (and a missing ``driver_point``)
+        appear in its ``__dict__`` on first access (``RoutedNet.__getattr__``
+        → :meth:`materialize_into` / :meth:`driver_point`).
         """
         from repro.layout.router import RoutedNet
 
         new_net = RoutedNet.__new__
         routing: Dict[str, RoutedNet] = {}
         shells: List[RoutedNet] = []
-        for index, (name, point) in enumerate(
-                zip(self.net_names, self.driver_points)):
+        points = self.driver_points
+        for index, name in enumerate(self.net_names):
             net = new_net(RoutedNet)
             net.__dict__ = {
                 "name": name,
-                "driver_point": point,
                 "_lazy_backing": self,
                 "_lazy_index": index,
             }
+            if points is not None:
+                net.__dict__["driver_point"] = points[index]
             shells.append(net)
             routing[name] = net
         self._shells = shells
         self._materialized = [False] * len(shells)
         return routing
+
+    def driver_point(self, index: int) -> Optional[Point]:
+        """Driver pin of net ``index``, built fresh from the columns."""
+        if not self.has_driver[index]:
+            return None
+        return _fast_point(float(self.driver_x[index]),
+                           float(self.driver_y[index]))
 
     def materialize_into(self, shell: "RoutedNet") -> None:
         """Populate ``shell.connections``/``shell.driver_vias`` from columns."""

@@ -43,7 +43,7 @@ ISCAS-85 circuits.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -80,9 +80,42 @@ class PlacerConfig:
     seed: int = 0
 
 
+@dataclass(eq=False)
+class PlacementColumns:
+    """Gate and port positions as coordinate columns (a decoded placement).
+
+    ``gate_order[i]`` indexes ``gate_names`` (the netlist's gate order the
+    columns were decoded against) and names the ``i``-th placed gate;
+    ``port_names`` holds the port names directly.  Column order is the
+    placement's dict insertion order.
+    """
+
+    gate_names: Sequence[str]
+    gate_order: np.ndarray     # (num_gates,) int64
+    gate_x: np.ndarray         # (num_gates,) float64
+    gate_y: np.ndarray
+    port_names: List[str]
+    port_x: np.ndarray         # (num_ports,) float64
+    port_y: np.ndarray
+
+
+#: Instance attributes that are caches or backing state, never pickled.
+_TRANSIENT_ATTRS = ("_geometry_cache", "_columns")
+
+
 @dataclass
 class PlacementResult:
     """Placement of every gate plus the fixed I/O pin positions.
+
+    :meth:`from_columns` builds a **lazy** instance over
+    :class:`PlacementColumns` (the store codec's decode path):
+    ``gate_positions`` and ``port_positions`` are absent until first
+    attribute access, at which point ``__getattr__`` materializes the dict
+    from the columns.  Array-native consumers (:mod:`repro.layout.arrays`,
+    the codec encoder) read the columns through :meth:`lazy_columns` while a
+    dict is unmaterialized; once a dict exists — by access or assignment —
+    it is authoritative.  Equality, ``repr`` and pickling observe exactly
+    the eagerly-built placement.
 
     Attributes:
         geometry_version: Monotonic counter bumped on every in-place geometry
@@ -100,6 +133,48 @@ class PlacementResult:
     config: PlacerConfig = field(default_factory=PlacerConfig)
     geometry_version: int = 0
 
+    @classmethod
+    def from_columns(cls, floorplan: Floorplan, columns: PlacementColumns,
+                     config: PlacerConfig,
+                     geometry_version: int = 0) -> "PlacementResult":
+        """A lazy placement whose position dicts materialize on demand."""
+        placement = cls.__new__(cls)
+        placement.__dict__ = {
+            "floorplan": floorplan,
+            "config": config,
+            "geometry_version": geometry_version,
+            "_columns": columns,
+        }
+        return placement
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: on a lazy placement the two
+        # position dicts are missing from __dict__ until materialized.
+        columns = self.__dict__.get("_columns")
+        if columns is not None and name in ("gate_positions", "port_positions"):
+            from repro.layout.arrays import _fast_point
+
+            if name == "gate_positions":
+                table = columns.gate_names
+                keys = [table[index] for index in columns.gate_order.tolist()]
+                xs, ys = columns.gate_x, columns.gate_y
+            else:
+                keys, xs, ys = columns.port_names, columns.port_x, columns.port_y
+            value = {key: _fast_point(x, y)
+                     for key, x, y in zip(keys, xs.tolist(), ys.tolist())}
+            self.__dict__[name] = value
+            return value
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def lazy_columns(self, name: str) -> Optional[PlacementColumns]:
+        """The columns behind ``name`` (``"gate_positions"`` or
+        ``"port_positions"``) while that dict is unmaterialized, else None."""
+        if name in self.__dict__:
+            return None
+        return self.__dict__.get("_columns")
+
     def position_of(self, gate_name: str) -> Point:
         return self.gate_positions[gate_name]
 
@@ -109,9 +184,13 @@ class PlacementResult:
         return self.geometry_version
 
     def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_geometry_cache", None)  # cached arrays are rebuilt lazily
-        state.pop("_skeleton_cache", None)
+        # The field dict in declaration order (materializing a lazy
+        # placement), then any extra attributes: lazy and eager placements
+        # pickle to identical bytes, and unpickled placements are eager.
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key, value in self.__dict__.items():
+            if key not in state and key not in _TRANSIENT_ATTRS:
+                state[key] = value
         return state
 
     def __setstate__(self, state):

@@ -132,9 +132,10 @@ class RoutedNet:
 
     :func:`route`/:func:`route_batch` return **lazy** instances backed by a
     :class:`~repro.layout.arrays.RoutingArrays` view: ``connections`` and
-    ``driver_vias`` are absent from the instance until first attribute
-    access, at which point the backing materializes the net's object graph
-    bit-exactly (``__getattr__`` below).  Array-native consumers that go
+    ``driver_vias`` (and, over a decoded backing, ``driver_point``) are
+    absent from the instance until first attribute access, at which point
+    the backing materializes the net's object graph bit-exactly
+    (``__getattr__`` below).  Array-native consumers that go
     through :func:`~repro.layout.arrays.routing_backing` read the columns
     directly and never trigger materialization; every object-level consumer
     — including equality, ``repr`` and pickling — observes exactly the
@@ -148,12 +149,17 @@ class RoutedNet:
 
     def __getattr__(self, name: str):
         # Only reached when normal lookup fails: on a lazy shell the two
-        # list fields are missing from __dict__ until materialized.
-        if name in ("connections", "driver_vias"):
-            backing = self.__dict__.get("_lazy_backing")
-            if backing is not None:
+        # list fields (and, over a decoded backing, the driver point) are
+        # missing from __dict__ until materialized.
+        backing = self.__dict__.get("_lazy_backing")
+        if backing is not None:
+            if name in ("connections", "driver_vias"):
                 backing.materialize_into(self)
                 return self.__dict__[name]
+            if name == "driver_point":
+                point = backing.driver_point(self.__dict__["_lazy_index"])
+                self.__dict__["driver_point"] = point
+                return point
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )

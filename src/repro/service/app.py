@@ -44,6 +44,9 @@ log = logging.getLogger("repro")
 
 _JSON = "application/json"
 
+#: Largest accepted request body; longer ones are refused with 413 unread.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -118,6 +121,16 @@ class _Handler(BaseHTTPRequestHandler):
             return self._error(404, f"no route for POST {path}")
         try:
             length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            if length < 0:
+                return self._error(400, "invalid Content-Length")
+            return self._error(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        try:
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8") or "null")
         except (ValueError, UnicodeDecodeError) as error:

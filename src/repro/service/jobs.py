@@ -243,7 +243,7 @@ class JobManager:
 
         with job.cond:
             record.started_utc = _utc_now()
-        start = time.time()
+        start = time.perf_counter()
         self.workspace.add_progress_listener(listener)
         try:
             sweep = self.workspace.run_sweeps(
@@ -278,4 +278,4 @@ class JobManager:
                        result=sweep)
         finally:
             with job.cond:
-                record.elapsed_s = time.time() - start
+                record.elapsed_s = time.perf_counter() - start

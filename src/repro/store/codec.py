@@ -21,8 +21,10 @@ regenerated netlist.  Both directions stay columnar on column-backed
 routings: encode copies the :class:`~repro.layout.arrays.RoutingArrays`
 columns near-verbatim into the payload, and decode keeps the payload
 columns as a fresh ``RoutingArrays`` behind lazy
-:class:`~repro.layout.router.RoutedNet` shells — per-object geometry is
-only materialized if a consumer of the loaded build touches it.  Routings
+:class:`~repro.layout.router.RoutedNet` shells and hands the placement
+columns to a lazy :class:`~repro.layout.placer.PlacementResult` —
+per-object geometry (``Point`` included) is only materialized if a
+consumer of the loaded build touches it.  Routings
 without a clean column backing (hand-assembled nets, mutated object
 graphs) take the retained object-walk encode path; both paths produce
 byte-identical payloads.
@@ -51,15 +53,20 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.layout.arrays import RoutingArrays, routing_backing
+from repro.layout.arrays import (
+    RoutingArrays,
+    netlist_skeleton,
+    placement_arrays,
+    routing_backing,
+)
 from repro.layout.floorplan import Floorplan
-from repro.layout.geometry import Point, Rect
+from repro.layout.geometry import Rect
 from repro.layout.layout import Layout
-from repro.layout.placer import PlacementResult, PlacerConfig
+from repro.layout.placer import PlacementColumns, PlacementResult, PlacerConfig
 from repro.netlist.netlist import Netlist
 
 #: Bump on ANY change to the payload schema or to the meaning of a stored
@@ -198,34 +205,7 @@ def _encode_layout(layout: Layout, netlist: Netlist,
     gate_index = {name: i for i, name in enumerate(netlist.gates)}
     net_index = {name: i for i, name in enumerate(netlist.nets)}
 
-    placement = layout.placement
-    try:
-        gate_order = np.fromiter(
-            (gate_index[name] for name in placement.gate_positions),
-            dtype=np.int64, count=len(placement.gate_positions),
-        )
-    except KeyError as error:
-        raise UnstorableBuild(f"placement gate {error} unknown to the netlist")
-    arrays[prefix + "gate_order"] = gate_order
-    arrays[prefix + "gate_x"] = np.fromiter(
-        (p.x for p in placement.gate_positions.values()),
-        dtype=np.float64, count=len(placement.gate_positions),
-    )
-    arrays[prefix + "gate_y"] = np.fromiter(
-        (p.y for p in placement.gate_positions.values()),
-        dtype=np.float64, count=len(placement.gate_positions),
-    )
-    arrays[prefix + "port_names"] = np.array(
-        list(placement.port_positions), dtype=np.str_
-    )
-    arrays[prefix + "port_x"] = np.fromiter(
-        (p.x for p in placement.port_positions.values()),
-        dtype=np.float64, count=len(placement.port_positions),
-    )
-    arrays[prefix + "port_y"] = np.fromiter(
-        (p.y for p in placement.port_positions.values()),
-        dtype=np.float64, count=len(placement.port_positions),
-    )
+    _encode_placement(layout.placement, netlist, arrays, prefix)
 
     # -- routing: skeleton columns + coordinate columns --------------------
     backing = routing_backing(layout.routing)
@@ -345,6 +325,22 @@ def _encode_layout(layout: Layout, netlist: Netlist,
     ).reshape(-1, 3)
 
     return _layout_record(layout, netlist, net_index, arrays, prefix)
+
+
+def _encode_placement(placement: PlacementResult, netlist: Netlist,
+                      arrays: Dict[str, np.ndarray], prefix: str) -> None:
+    """Placement columns, read from the cached columnar placement view (a
+    decoded placement's unmaterialized columns pass straight through)."""
+    view = placement_arrays(netlist, placement)
+    if view.skeleton.missing_gates:
+        raise UnstorableBuild(
+            f"placement gate {view.skeleton.missing_gates[0]!r} unknown to the netlist")
+    arrays[prefix + "gate_order"] = view.skeleton.gate_ids.astype(np.int64)
+    arrays[prefix + "gate_x"] = view.gate_xy[:, 0]
+    arrays[prefix + "gate_y"] = view.gate_xy[:, 1]
+    arrays[prefix + "port_names"] = np.array(view.port_names, dtype=np.str_)
+    arrays[prefix + "port_x"] = view.port_xy[:, 0]
+    arrays[prefix + "port_y"] = view.port_xy[:, 1]
 
 
 def _encode_routing_fast(backing: RoutingArrays, net_index: Dict[str, int],
@@ -478,21 +474,9 @@ def _require(arrays: Mapping[str, np.ndarray], name: str) -> np.ndarray:
 
 def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
                    netlist: Netlist, prefix: str) -> Layout:
-    gate_names = list(netlist.gates)
-    net_names = list(netlist.nets)
-
-    # Same __dict__ fast path as the router's bulk constructors: Point is a
-    # frozen dataclass whose generated __init__ funnels every field through
-    # object.__setattr__, and decode builds one Point per gate/port plus up
-    # to four per routed connection — it dominates at superblue scale.
-    _point_new = Point.__new__
-
-    def fast_point(x: float, y: float) -> Point:
-        point = _point_new(Point)
-        d = point.__dict__
-        d["x"] = x
-        d["y"] = y
-        return point
+    skeleton = netlist_skeleton(netlist)
+    gate_names = skeleton.gate_names
+    net_names = skeleton.net_names
 
     try:
         placement_record = record["placement"]
@@ -510,47 +494,52 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
         raise CodecError(f"malformed placement record: {error!r}")
 
     gate_order = _require(arrays, prefix + "gate_order")
-    gate_x = _require(arrays, prefix + "gate_x").tolist()
-    gate_y = _require(arrays, prefix + "gate_y").tolist()
+    gate_x = _require(arrays, prefix + "gate_x")
+    gate_y = _require(arrays, prefix + "gate_y")
     if not (len(gate_order) == len(gate_x) == len(gate_y)):
         raise CodecError("placement coordinate columns are misaligned")
-    try:
-        gate_positions = {
-            gate_names[index]: fast_point(x, y)
-            for index, x, y in zip(gate_order.tolist(), gate_x, gate_y)
-        }
-    except IndexError:
+    if len(gate_order) and (int(gate_order.min()) < 0
+                            or int(gate_order.max()) >= len(gate_names)):
         raise CodecError("gate index out of range for the regenerated netlist")
+    if len(np.unique(gate_order)) != len(gate_order):
+        raise CodecError("placement places a gate twice")
     port_names = _require(arrays, prefix + "port_names").tolist()
-    port_x = _require(arrays, prefix + "port_x").tolist()
-    port_y = _require(arrays, prefix + "port_y").tolist()
+    port_x = _require(arrays, prefix + "port_x")
+    port_y = _require(arrays, prefix + "port_y")
     if not (len(port_names) == len(port_x) == len(port_y)):
         raise CodecError("port coordinate columns are misaligned")
-    port_positions = {
-        name: fast_point(x, y) for name, x, y in zip(port_names, port_x, port_y)
-    }
-    placement = PlacementResult(
-        floorplan, gate_positions, port_positions, config,
+    if len(set(port_names)) != len(port_names):
+        raise CodecError("placement places a port twice")
+    # Columnar decode: the position dicts materialize only if a consumer
+    # touches them (PlacementResult.__getattr__).
+    placement = PlacementResult.from_columns(
+        floorplan,
+        PlacementColumns(
+            gate_names=gate_names, gate_order=gate_order,
+            gate_x=gate_x, gate_y=gate_y,
+            port_names=port_names, port_x=port_x, port_y=port_y,
+        ),
+        config,
         geometry_version=int(placement_record.get("geometry_version", 0)),
     )
 
     # -- routing -----------------------------------------------------------
-    rnet_net = _require(arrays, prefix + "rnet_net").tolist()
+    rnet_net = _require(arrays, prefix + "rnet_net")
     rnet_driver = _require(arrays, prefix + "rnet_driver")
-    rnet_has_driver = _require(arrays, prefix + "rnet_has_driver").tolist()
-    rnet_conn_count = _require(arrays, prefix + "rnet_conn_count").tolist()
-    rnet_dvia_count = _require(arrays, prefix + "rnet_dvia_count").tolist()
+    rnet_has_driver = _require(arrays, prefix + "rnet_has_driver")
+    rnet_conn_count = _require(arrays, prefix + "rnet_conn_count")
+    rnet_dvia_count = _require(arrays, prefix + "rnet_dvia_count")
     sink_tokens = _require(arrays, prefix + "sink_tokens").tolist()
-    conn_net = _require(arrays, prefix + "conn_net").tolist()
-    conn_sink_gate = _require(arrays, prefix + "conn_sink_gate").tolist()
-    conn_sink_token = _require(arrays, prefix + "conn_sink_token").tolist()
+    conn_net = _require(arrays, prefix + "conn_net")
+    conn_sink_gate = _require(arrays, prefix + "conn_sink_gate")
+    conn_sink_token = _require(arrays, prefix + "conn_sink_token")
     conn_layers = _require(arrays, prefix + "conn_layers")
     conn_coords = _require(arrays, prefix + "conn_coords")
     conn_hints = _require(arrays, prefix + "conn_hints")
     conn_hint_mask = _require(arrays, prefix + "conn_hint_mask")
-    conn_protected = _require(arrays, prefix + "conn_protected").tolist()
-    conn_seg_count = _require(arrays, prefix + "conn_seg_count").tolist()
-    conn_via_count = _require(arrays, prefix + "conn_via_count").tolist()
+    conn_protected = _require(arrays, prefix + "conn_protected")
+    conn_seg_count = _require(arrays, prefix + "conn_seg_count")
+    conn_via_count = _require(arrays, prefix + "conn_via_count")
     seg_rows = _require(arrays, prefix + "seg_rows")
     via_rows = _require(arrays, prefix + "via_rows")
     dvia_rows = _require(arrays, prefix + "dvia_rows")
@@ -563,13 +552,13 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
         == len(conn_seg_count) == len(conn_via_count)
     ):
         raise CodecError("connection columns are misaligned")
-    if sum(rnet_conn_count) != n_conns:
+    if int(rnet_conn_count.sum()) != n_conns:
         raise CodecError("per-net connection counts do not cover the table")
-    if sum(conn_seg_count) != len(seg_rows):
+    if int(conn_seg_count.sum()) != len(seg_rows):
         raise CodecError("segment counts do not cover the segment table")
-    if sum(conn_via_count) != len(via_rows):
+    if int(conn_via_count.sum()) != len(via_rows):
         raise CodecError("via counts do not cover the via table")
-    if sum(rnet_dvia_count) != len(dvia_rows):
+    if int(rnet_dvia_count.sum()) != len(dvia_rows):
         raise CodecError("driver-via counts do not cover the table")
     if (conn_layers.ndim != 2 or conn_layers.shape[1] != 2
             or conn_coords.ndim != 2 or conn_coords.shape[1] != 4
@@ -584,19 +573,15 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
     # consumer touches a net's ``connections``/``driver_vias`` — re-encoding
     # a freshly decoded build is a near-copy of these same columns.
     try:
-        entry_names = [net_names[i] for i in rnet_net]
-        conn_net_names = [net_names[i] for i in conn_net]
-        sink_refs = [
-            ("PO" if gate < 0 else gate_names[gate], sink_tokens[tok])
-            for gate, tok in zip(conn_sink_gate, conn_sink_token)
+        net_table = np.array(net_names, dtype=object)
+        entry_names = net_table[rnet_net].tolist()
+        conn_net_names = net_table[conn_net].tolist()
+        # Any negative gate index is a primary-output sink ("PO").
+        sink_gates = np.array(gate_names + ["PO"], dtype=object)[
+            np.where(conn_sink_gate < 0, len(gate_names), conn_sink_gate)
         ]
-        driver_points: List[Optional[Point]] = [
-            fast_point(x, y) if has else None
-            for has, x, y in zip(
-                rnet_has_driver,
-                rnet_driver[:, 0].tolist(), rnet_driver[:, 1].tolist(),
-            )
-        ]
+        sink_pins = np.array(sink_tokens, dtype=object)[conn_sink_token]
+        sink_refs = list(zip(sink_gates.tolist(), sink_pins.tolist()))
     except IndexError:
         raise CodecError("routing index out of range for the regenerated netlist")
 
@@ -608,18 +593,16 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
                  else np.empty(0, dtype=np.int64))
     empty_f64 = np.empty(0, dtype=np.float64)
 
-    def _csr(counts: List[int]) -> np.ndarray:
-        return np.concatenate(
-            ([0], np.cumsum(np.asarray(counts, dtype=np.int64)))
-        ).astype(np.int64)
+    def _csr(counts: np.ndarray) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
     backing = RoutingArrays(
         net_names=entry_names,
         conn_starts=_csr(rnet_conn_count),
         driver_x=rnet_driver[:, 0],
         driver_y=rnet_driver[:, 1],
-        has_driver=np.asarray(rnet_has_driver, dtype=bool),
-        driver_points=driver_points,
+        has_driver=rnet_has_driver.astype(bool),
+        driver_points=None,
         dvia_starts=_csr(rnet_dvia_count),
         dvia_x=dvia_rows[:, 0] if len(dvia_rows) else empty_f64,
         dvia_y=dvia_rows[:, 1] if len(dvia_rows) else empty_f64,
@@ -630,7 +613,7 @@ def _decode_layout(record: Mapping[str, Any], arrays: Mapping[str, np.ndarray],
         tx=conn_coords[:, 2], ty=conn_coords[:, 3],
         h_layer=conn_layers[:, 0].astype(np.int64),
         v_layer=conn_layers[:, 1].astype(np.int64),
-        protected=np.asarray(conn_protected, dtype=np.uint8),
+        protected=conn_protected.astype(np.uint8),
         # Copies: override_hints writes these in place (defense re-aiming).
         hint_sx=conn_hints[:, 0].copy(), hint_sy=conn_hints[:, 1].copy(),
         hint_tx=conn_hints[:, 2].copy(), hint_ty=conn_hints[:, 3].copy(),

@@ -17,14 +17,27 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.proximity import proximity_attack, proximity_attack_reference
-from repro.circuits import iscas85_netlist
+from repro.circuits import c17_netlist, iscas85_netlist
 from repro.circuits.iscas85 import ISCAS85_PROFILES
 from repro.layout import build_layout
-from repro.layout.arrays import UniformGridIndex, placement_arrays
+from repro.layout.arrays import (
+    PlacementArrays,
+    PlacementSkeleton,
+    UniformGridIndex,
+    netlist_skeleton,
+    placement_arrays,
+)
 from repro.layout.geometry import Point, manhattan
-from repro.layout.placer import check_legality, placement_hpwl
+from repro.layout.placer import (
+    PlacementColumns,
+    PlacementResult,
+    check_legality,
+    placement_hpwl,
+)
 from repro.metrics.distances import distance_histogram, distance_stats
 from repro.metrics.wirelength import wirelength_by_layer
 from repro.netlist.cells import NUM_METAL_LAYERS
@@ -336,6 +349,189 @@ def test_proximity_tie_breaks_to_first_driver(iscas_layouts):
     view.sink_vpins = [_vpin(20, "sink", 0.0, 0.0)]
     assert proximity_attack(view).assignment == {20: 10}
     assert proximity_attack_reference(view).assignment == {20: 10}
+
+
+# ---------------------------------------------------------------------------
+# Netlist skeleton remapped per placement == per-placement net walk
+# ---------------------------------------------------------------------------
+
+
+def _reference_skeleton(netlist, placement):
+    """The per-placement net walk the remapped skeleton replaces (oracle)."""
+    gate_names = list(placement.gate_positions)
+    gate_index = {name: i for i, name in enumerate(gate_names)}
+    gates = netlist.gates
+    port_names = list(placement.port_positions)
+    port_index = {name: i for i, name in enumerate(port_names)}
+    num_gates = len(gate_names)
+    pair_driver, pair_sink, pair_net = [], [], []
+    term_idx, term_offsets = [], [0]
+    for net_idx, net in enumerate(netlist.nets.values()):
+        driver_idx = (
+            gate_index.get(net.driver[0]) if net.driver is not None else None
+        )
+        if driver_idx is not None:
+            for sink_gate, _pin in net.sinks:
+                sink_idx = gate_index.get(sink_gate)
+                if sink_idx is not None:
+                    pair_driver.append(driver_idx)
+                    pair_sink.append(sink_idx)
+                    pair_net.append(net_idx)
+        if driver_idx is not None:
+            term_idx.append(driver_idx)
+        elif net.is_primary_input:
+            pi = port_index.get(net.name)
+            if pi is not None:
+                term_idx.append(num_gates + pi)
+        for sink_gate, _pin in net.sinks:
+            sink_idx = gate_index.get(sink_gate)
+            if sink_idx is not None:
+                term_idx.append(sink_idx)
+        for po in net.primary_outputs:
+            pi = port_index.get(po)
+            if pi is not None:
+                term_idx.append(num_gates + pi)
+        term_offsets.append(len(term_idx))
+    return {
+        "gate_names": gate_names,
+        "gate_widths": [gates[name].cell.width_um if name in gates else 0.0
+                        for name in gate_names],
+        "missing_gates": [name for name in gate_names if name not in gates],
+        "port_names": port_names,
+        "net_names": list(netlist.nets),
+        "pair_driver": pair_driver,
+        "pair_sink": pair_sink,
+        "pair_net": pair_net,
+        "term_indices": term_idx,
+        "term_offsets": term_offsets,
+    }
+
+
+def _assert_skeleton_matches_oracle(netlist, placement, skeleton=None):
+    if skeleton is None:
+        skeleton = PlacementSkeleton.build(netlist, placement)
+    expected = _reference_skeleton(netlist, placement)  # materializes
+    for name, value in expected.items():
+        actual = getattr(skeleton, name)
+        if isinstance(actual, np.ndarray):
+            assert actual.tolist() == value, name
+            assert actual.dtype == (np.float64 if name == "gate_widths"
+                                    else np.intp), name
+        else:
+            assert actual == value, name
+
+
+@st.composite
+def _placement_variants(draw, netlist, base):
+    """A placement of ``netlist`` with shuffled, dropped and foreign gates
+    and ports, as an eager dict or as lazy columns."""
+    gates = list(base.gate_positions)
+    kept = draw(st.lists(st.sampled_from(gates), unique=True,
+                         max_size=len(gates)))
+    extra = [f"extra_{i}" for i in range(draw(st.integers(0, 3)))]
+    order = draw(st.permutations(kept + extra))
+    ports = list(base.port_positions)
+    kept_ports = draw(st.lists(st.sampled_from(ports), unique=True,
+                               max_size=len(ports)))
+    port_order = draw(st.permutations(
+        kept_ports + [f"extra_port_{i}" for i in range(draw(st.integers(0, 2)))]
+    ))
+
+    def position(table, name):
+        return table.get(name, Point(1.5, 2.5))
+
+    gate_positions = {name: position(base.gate_positions, name) for name in order}
+    port_positions = {name: position(base.port_positions, name) for name in port_order}
+    if not draw(st.booleans()):
+        return PlacementResult(base.floorplan, gate_positions, port_positions,
+                               base.config)
+    # Lazy columns index a name table that need not be the netlist's own.
+    table = list(netlist.gates) + extra if draw(st.booleans()) else list(order)
+    return PlacementResult.from_columns(
+        base.floorplan,
+        PlacementColumns(
+            gate_names=table,
+            gate_order=np.asarray([table.index(n) for n in order], dtype=np.int64),
+            gate_x=np.asarray([p.x for p in gate_positions.values()], dtype=np.float64),
+            gate_y=np.asarray([p.y for p in gate_positions.values()], dtype=np.float64),
+            port_names=list(port_order),
+            port_x=np.asarray([p.x for p in port_positions.values()], dtype=np.float64),
+            port_y=np.asarray([p.y for p in port_positions.values()], dtype=np.float64),
+        ),
+        base.config,
+    )
+
+
+@pytest.fixture(scope="module")
+def c17_layout():
+    netlist = c17_netlist()
+    return netlist, build_layout(netlist, seed=2)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_remapped_skeleton_equals_net_walk(c17_layout, data):
+    netlist, layout = c17_layout
+    placement = data.draw(_placement_variants(netlist, layout.placement))
+    lazy = placement.lazy_columns("gate_positions") is not None
+    arrays = PlacementArrays.build(netlist, placement)
+    # Columns stay unmaterialized through the remap and the gather.
+    assert (placement.lazy_columns("gate_positions") is not None) == lazy
+    _assert_skeleton_matches_oracle(netlist, placement, arrays.skeleton)
+    # Coordinates line up with the skeleton's gate and port order.
+    for index, name in enumerate(arrays.gate_names):
+        point = placement.gate_positions[name]
+        assert tuple(arrays.gate_xy[index]) == (point.x, point.y)
+    for index, name in enumerate(arrays.port_names):
+        point = placement.port_positions[name]
+        assert tuple(arrays.port_xy[index]) == (point.x, point.y)
+
+
+def test_remapped_skeleton_on_every_iscas_layout(iscas_layouts):
+    for netlist, layout, _view in iscas_layouts.values():
+        _assert_skeleton_matches_oracle(netlist, layout.placement)
+
+
+def test_skeleton_handles_net_references_outside_the_netlist(c17_layout):
+    """Nets naming a gate ``netlist.gates`` lacks: placed, it still gets
+    its pairs and terminals, like the net walk gives it."""
+    import copy
+
+    netlist, layout = c17_layout
+    broken = copy.deepcopy(netlist)
+    dropped = next(iter(broken.gates))
+    del broken.gates[dropped]
+    _assert_skeleton_matches_oracle(broken, layout.placement)
+    assert PlacementSkeleton.build(broken, layout.placement).missing_gates == [dropped]
+
+
+def test_skeleton_pi_net_with_unplaced_driver_falls_back_to_port(c17_layout):
+    """The driver slot takes the PI port when the net's driver gate is not
+    placed — and the gate when it is."""
+    import copy
+
+    netlist, layout = c17_layout
+    broken = copy.deepcopy(netlist)
+    gate = next(iter(broken.gates))
+    for name in broken.primary_inputs:
+        broken.nets[name].driver = (gate, "Y")
+    _assert_skeleton_matches_oracle(broken, layout.placement)
+    placement = PlacementResult(
+        layout.placement.floorplan,
+        {name: p for name, p in layout.placement.gate_positions.items()
+         if name != gate},
+        dict(layout.placement.port_positions),
+        layout.placement.config,
+    )
+    _assert_skeleton_matches_oracle(broken, placement)
+
+
+def test_netlist_skeleton_cached_per_netlist_and_topology(c17):
+    first = netlist_skeleton(c17)
+    assert netlist_skeleton(c17) is first
+    c17._bump_version()
+    assert netlist_skeleton(c17) is not first
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import iscas85_netlist
-from repro.layout.arrays import routing_backing
+from repro.layout import arrays as arrays_module
+from repro.layout.arrays import placement_arrays, routing_backing
 from repro.layout.floorplan import build_floorplan
+from repro.layout.geometry import Point
 from repro.layout.layout import build_layout, build_layout_batch
 from repro.layout.placer import PlacerConfig, place
 from repro.layout.router import RouterConfig, route, route_reference
@@ -229,6 +231,121 @@ def test_decode_yields_clean_lazy_backing(netlist):
         ours, theirs = layout.routing[name], decoded.layout.routing[name]
         assert ours.driver_vias == theirs.driver_vias
         assert ours.connections == theirs.connections
+
+
+# -- columnar decoded placement and lazy driver points ----------------------
+
+
+def _decoded(netlist, layout):
+    record, arrays = codec.encode_build(_build_of(layout), netlist)
+    return (record, arrays), codec.decode_build(record, arrays, netlist).layout
+
+
+def test_decoded_placement_arrays_equal_eager_twin(netlist):
+    layout = build_layout(netlist, seed=3)
+    _payload, decoded = _decoded(netlist, layout)
+    placement = decoded.placement
+    lazy = placement_arrays(netlist, placement)
+    assert placement.lazy_columns("gate_positions") is not None
+    assert placement.lazy_columns("port_positions") is not None
+    eager = placement_arrays(netlist, layout.placement)
+    assert lazy.gate_names == eager.gate_names
+    assert lazy.port_names == eager.port_names
+    for name in ("gate_xy", "port_xy", "term_x", "term_y", "gate_widths",
+                 "pair_driver", "pair_sink", "pair_net", "term_offsets"):
+        ours, theirs = getattr(lazy, name), getattr(eager, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+    assert pickle.dumps(placement) == pickle.dumps(layout.placement)
+    assert placement == layout.placement
+
+
+def test_decoded_driver_points_built_on_access(netlist):
+    layout = build_layout(netlist, seed=3)
+    _payload, decoded = _decoded(netlist, layout)
+    _payload, twin = _decoded(netlist, layout)
+    assert routing_backing(decoded.routing).driver_points is None
+    for name, net in decoded.routing.items():
+        assert "driver_point" not in net.__dict__
+        assert net.driver_point == layout.routing[name].driver_point
+    # Laziness is pickle-invisible: an untouched twin pickles identically.
+    for name in list(decoded.routing)[:10]:
+        assert "driver_point" not in twin.routing[name].__dict__
+        assert pickle.dumps(twin.routing[name]) == pickle.dumps(decoded.routing[name])
+
+
+def test_store_replay_builds_no_points(netlist, monkeypatch):
+    """decode -> distances / wirelength / vias -> re-encode: zero Points,
+    and the re-encoded payload is byte-identical."""
+    from repro.layout.geometry import Point
+    from repro.metrics.distances import distance_stats
+    from repro.metrics.vias import via_counts_by_name
+    from repro.metrics.wirelength import wirelength_share_by_layer
+
+    layout = build_layout(netlist, seed=3)
+    payload = codec.encode_build(_build_of(layout), netlist)
+    built = []
+    # Every Point comes from its __init__ or from arrays._fast_point (the
+    # one __dict__ fast path); count both.
+    init = Point.__init__
+    fast_point = arrays_module._fast_point
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_fast_point(x, y):
+        built.append("fast")
+        return fast_point(x, y)
+
+    monkeypatch.setattr(Point, "__init__", counting_init)
+    monkeypatch.setattr(arrays_module, "_fast_point", counting_fast_point)
+    decoded = codec.decode_build(*payload, netlist).layout
+    nets = set(list(netlist.nets)[::3])
+    for subset in (None, nets):
+        distance_stats(decoded, subset)
+        wirelength_share_by_layer(decoded, subset)
+    via_counts_by_name(decoded)
+    decoded.total_vias()
+    replay = codec.encode_build(_build_of(decoded), netlist)
+    assert built == []
+    # The counters do see both construction paths.
+    Point(0.0, 0.0)
+    _ = next(net.driver_point for net in decoded.routing.values()
+             if net.driver_point is not None)
+    assert built == ["init", "fast"]
+    _assert_payloads_identical(payload, replay)
+    assert routing_backing(decoded.routing).materialized_count == 0
+
+
+def test_materialized_placement_is_authoritative(netlist):
+    layout = build_layout(netlist, seed=3)
+    payload, decoded = _decoded(netlist, layout)
+    placement = decoded.placement
+    before = placement_arrays(netlist, placement)
+    gate = next(iter(placement.gate_positions))  # materializes the gates
+    assert placement.lazy_columns("gate_positions") is None
+    old = placement.gate_positions[gate]
+    placement.gate_positions[gate] = Point(old.x + 7.0, old.y)
+    # The cache holds until the geometry_version bump, then sees the move.
+    assert placement_arrays(netlist, placement) is before
+    placement.bump_geometry_version()
+    after = placement_arrays(netlist, placement)
+    assert after is not before
+    index = after.gate_names.index(gate)
+    assert after.gate_xy[index, 0] == old.x + 7.0
+    # Assigned ports win over the columns too, in the view and the encoder.
+    placement.port_positions = {
+        name: Point(point.x, point.y + 1.0)
+        for name, point in layout.placement.port_positions.items()
+    }
+    assert placement.lazy_columns("port_positions") is None
+    placement.bump_geometry_version()
+    _record, arrays = codec.encode_build(_build_of(decoded), netlist)
+    order = arrays["layout.gate_order"].tolist()
+    moved = order.index(list(netlist.gates).index(gate))
+    assert arrays["layout.gate_x"][moved] == old.x + 7.0
+    assert np.array_equal(arrays["layout.port_y"], payload[1]["layout.port_y"] + 1.0)
 
 
 # -- defense: columnar hint overrides == object-path hints -------------------

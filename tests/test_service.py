@@ -112,6 +112,54 @@ def test_invalid_spec_400(service):
         conn.close()
 
 
+def _post_with_length(service: ScenarioService, length: str) -> Tuple[int, Any]:
+    """POST a header-only request claiming ``length`` body bytes.
+
+    No body follows, so a server that tried to read one would stall until
+    the client timeout instead of answering.
+    """
+    conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def test_negative_content_length_400(service):
+    status, body = _post_with_length(service, "-5")
+    assert status == 400
+    assert "Content-Length" in body["error"]
+    # The service keeps serving.
+    assert request(service, "GET", "/v1/health")[0] == 200
+
+
+def test_oversized_body_413_before_reading(service):
+    from repro.service.app import MAX_BODY_BYTES
+
+    status, body = _post_with_length(service, str(MAX_BODY_BYTES + 1))
+    assert status == 413
+    assert str(MAX_BODY_BYTES) in body["error"]
+    # A body of exactly the limit is read (and rejected only as bad JSON).
+    conn = http.client.HTTPConnection(service.host, service.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/jobs", body=b" " * (MAX_BODY_BYTES - 1) + b"{")
+        assert conn.getresponse().status == 400
+    finally:
+        conn.close()
+
+
+def test_unbounded_seed_sweep_400(service):
+    status, body = request(service, "POST", "/v1/jobs", body={
+        **SPEC, "seeds": {"start": 0, "count": 10**9}})
+    assert status == 400
+    assert "limit" in body["error"]
+
+
 def test_unknown_route_404(service):
     status, _body = request(service, "GET", "/v1/frobnicate")
     assert status == 404

@@ -16,6 +16,10 @@ from repro.api.workspace import (
 )
 
 
+#: A sweep long enough that a quadratic duplicate scan would be slow.
+MAX_SEEDS_PROBE = 5_000
+
+
 def sweep_spec(**overrides) -> ScenarioSpec:
     kwargs = dict(
         benchmark="c17", scheme="original", metrics=("distances",),
@@ -50,6 +54,22 @@ class TestSeedsField:
             ScenarioSpec(benchmark="c17", seeds={"count": 2, "step": 3})
         with pytest.raises(ValueError):
             ScenarioSpec(benchmark="c17", seeds={"start": 1, "count": 0})
+
+    def test_sweep_size_is_bounded(self):
+        from repro.api.spec import MAX_SWEEP_SEEDS
+
+        ranged = ScenarioSpec(benchmark="c17",
+                              seeds={"start": 5, "count": MAX_SWEEP_SEEDS})
+        assert len(ranged.seeds) == MAX_SWEEP_SEEDS
+        with pytest.raises(ValueError, match="limit"):
+            ScenarioSpec(benchmark="c17", seeds={"start": 0, "count": 10**9})
+        with pytest.raises(ValueError, match="limit"):
+            ScenarioSpec(benchmark="c17", seeds=range(MAX_SWEEP_SEEDS + 1))
+
+    def test_duplicate_seeds_are_named_once_in_order(self):
+        seeds = list(range(MAX_SEEDS_PROBE)) + [7, 3, 7, 7]
+        with pytest.raises(ValueError, match=r"duplicate seed\(s\) in sweep: 3, 7$"):
+            ScenarioSpec(benchmark="c17", seeds=seeds)
 
     def test_round_trips_through_json(self):
         spec = sweep_spec()
