@@ -1,18 +1,17 @@
 """Micro-benchmarks for the simulation engine and the network-flow attack.
 
 Measures ``simulate``, ``output_error_rate`` / ``hamming_distance`` and the
-attack cost-matrix construction on the seed-equivalent legacy path versus the
-compiled vectorized engine, and writes a ``BENCH_sim.json`` perf-trajectory
-artifact (wall-clock seconds plus derived throughput) so future PRs can track
-regressions::
+attack cost-matrix construction on the seed-equivalent path versus the
+compiled simulation engine, and writes a ``BENCH_sim.json`` perf-trajectory
+artifact (wall-clock seconds plus derived throughput) so later changes can
+track regressions::
 
     PYTHONPATH=src python benchmarks/bench_sim.py            # writes BENCH_sim.json
     PYTHONPATH=src python benchmarks/bench_sim.py --patterns 16384 --repeat 9
 
 The ``seed_equivalent`` numbers replay the original implementation exactly
 (networkx-based evaluation ordering + per-gate bigint interpretation), so the
-reported speedups are measured against the repository's seed state, not
-against the already-accelerated legacy fallback.
+reported speedups are measured against the repository's seed state.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.netlist.graph import netlist_to_digraph  # noqa: E402
 from repro.netlist.simulate import (  # noqa: E402
     _resolved_inputs,
     _shared_input_patterns,
-    _simulate_legacy,
     hamming_distance,
     output_error_rate,
     simulate,
@@ -237,18 +235,7 @@ def bench_simulation(benchmark: str, num_patterns: int, repeat: int) -> Dict[str
         _timeit(lambda: _seed_simulate(netlist, None, num_patterns, 1), repeat),
         gate_evals,
     )
-    record(
-        "simulate_legacy_interpreter",
-        _timeit(
-            lambda: _simulate_legacy(
-                netlist, _resolved_inputs(netlist, None, num_patterns, 1),
-                num_patterns, 0,
-            ),
-            repeat,
-        ),
-        gate_evals,
-    )
-    simulate(netlist, None, num_patterns, 1)  # compile + specialize once
+    simulate(netlist, None, num_patterns, 1)  # compile once
     record(
         "simulate_engine_warm",
         _timeit(lambda: simulate(netlist, None, num_patterns, 1), repeat),

@@ -31,6 +31,7 @@ import dataclasses
 import difflib
 import enum
 import typing
+import weakref
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 
@@ -56,16 +57,23 @@ class UnknownNameError(KeyError):
         return self.args[0]
 
 
+_HINTS: "weakref.WeakKeyDictionary[type, Mapping[str, Any]]" = weakref.WeakKeyDictionary()
+
+
 def _resolved_hints(params_type: type) -> Mapping[str, Any]:
     """Field annotations with forward references resolved (best effort).
 
     ``from __future__ import annotations`` makes every ``field.type`` a
     string; coercion needs the real types, so resolve them once per class.
+    A failed resolution is not cached, so it is retried on the next call.
     """
-    try:
-        return typing.get_type_hints(params_type)
-    except Exception:
-        return {}
+    hints = _HINTS.get(params_type)
+    if hints is None:
+        try:
+            hints = _HINTS[params_type] = typing.get_type_hints(params_type)
+        except Exception:
+            return {}
+    return hints
 
 
 def _is_tuple_annotation(annotation: Any) -> bool:

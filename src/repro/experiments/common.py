@@ -59,7 +59,7 @@ class ExperimentConfig:
     #: Randomization intensities tried by the budget loop.
     iscas_swap_fractions: Tuple[float, ...] = (0.05, 0.10)
     superblue_swap_fractions: Tuple[float, ...] = (0.02,)
-    #: Patterns for OER/HD estimates.  The vectorized simulation engine makes
+    #: Patterns for OER/HD estimates.  The compiled simulation engine makes
     #: large pattern blocks cheap; 4096 keeps the security metrics' sampling
     #: error well below the table resolution (see README).
     num_patterns: int = 4096

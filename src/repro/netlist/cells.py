@@ -95,11 +95,10 @@ class Cell:
         beol_only: True for correction/lifting cells which occupy no FEOL
             resources and may overlap standard cells.
         logic_ops: Structured description of the logic function as a tuple of
-            arcs ``(output_pin, op_kind, input_pins)``; the vectorized
-            simulation engine (:mod:`repro.netlist.engine`) compiles these
-            into NumPy kernels.  ``None`` means the cell can only be evaluated
-            through ``function`` (the engine then falls back to the legacy
-            bigint interpreter).
+            arcs ``(output_pin, op_kind, input_pins)``; the simulation engine
+            (:mod:`repro.netlist.engine`) compiles each arc to a built-in
+            bigint op.  ``None`` means the engine compiles one arc per output
+            pin that calls ``function`` instead.
     """
 
     name: str

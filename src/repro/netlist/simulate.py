@@ -6,19 +6,11 @@ applying 1,000,000 random test patterns in Synopsys VCS.  Here the same
 metrics are computed with a bit-parallel simulator: each net carries a
 bit-vector whose bit *i* is the net's value under pattern *i*.
 
-Two execution engines share this interface:
-
-* the **vectorized engine** (:mod:`repro.netlist.engine`) compiles the
-  netlist once into a cached evaluation plan and executes it over NumPy
-  ``uint64``-packed pattern blocks — the default, and fast enough to push
-  pattern counts toward the paper's regime;
-* the **legacy interpreter** in this module walks gates one at a time over
-  Python dicts and arbitrary-precision integers — retained as the semantic
-  reference and as the fallback for netlists containing custom cells without
-  :attr:`~repro.netlist.cells.Cell.logic_ops` metadata.
-
-Both engines are bit-exact with each other at equal seed (covered by the
-equivalence tests in ``tests/test_engine.py``).
+The simulator is :mod:`repro.netlist.engine`: a netlist is compiled once
+into a cached evaluation plan, a flat list of per-gate arcs over integer net
+slots, and the plan is interpreted over those bit-vectors.  The test suite
+keeps the historical per-gate interpreter as an oracle and checks the engine
+against it bit for bit (``tests/test_engine.py``).
 
 Sequential cells are treated as pseudo primary inputs (their ``Q`` outputs are
 driven with random values and their ``D`` inputs are observed as pseudo
@@ -33,13 +25,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.netlist import engine as _engine
-from repro.netlist.graph import pseudo_topological_order
 from repro.netlist.netlist import Netlist
 from repro.utils.rng import make_rng
 
-#: Default number of random patterns used by the security metrics.  The
-#: vectorized engine makes large pattern counts cheap; see the README for
-#: guidance on picking pattern counts per experiment.
+#: Default number of random patterns used by the security metrics; see the
+#: README for guidance on picking pattern counts per experiment.
 DEFAULT_NUM_PATTERNS = 16384
 
 
@@ -96,52 +86,15 @@ def _resolved_inputs(netlist: Netlist, patterns: Optional[Mapping[str, int]],
     return values
 
 
-def _simulate_legacy(netlist: Netlist, inputs: Dict[str, int],
-                     num_patterns: int, x_value: int) -> SimulationResult:
-    """Reference interpreter: per-gate evaluation over Python bigints."""
-    mask = (1 << num_patterns) - 1
-    values: Dict[str, int] = dict(inputs)
-
-    # The pseudo-topological order degrades gracefully on (attacker-induced)
-    # combinational loops instead of refusing to simulate.
-    order = pseudo_topological_order(netlist)
-    for gate_name in order:
-        gate = netlist.gates[gate_name]
-        if gate.cell.is_sequential:
-            continue  # Outputs already seeded as pseudo inputs.
-        gate_inputs: Dict[str, int] = {}
-        for pin in gate.input_pin_names:
-            net_name = gate.net_on(pin)
-            if net_name is None:
-                gate_inputs[pin] = x_value & mask
-            else:
-                gate_inputs[pin] = values.get(net_name, x_value & mask)
-        outputs = gate.cell.evaluate(gate_inputs, mask)
-        for pin, value in outputs.items():
-            net_name = gate.net_on(pin)
-            if net_name is not None:
-                values[net_name] = value & mask
-
-    observed: Dict[str, int] = {}
-    for po in netlist.primary_outputs:
-        net_name = netlist.output_nets[po]
-        observed[po] = values.get(net_name, x_value & mask)
-
-    return SimulationResult(
-        num_patterns=num_patterns,
-        inputs=inputs,
-        outputs=observed,
-        net_values=values,
-    )
-
-
 def simulate(netlist: Netlist, patterns: Optional[Mapping[str, int]] = None,
              num_patterns: int = DEFAULT_NUM_PATTERNS, seed: Optional[int] = 0,
              x_value: int = 0) -> SimulationResult:
     """Simulate ``netlist`` bit-parallel.
 
     Args:
-        netlist: Netlist to simulate; its combinational portion must be acyclic.
+        netlist: Netlist to simulate.  Combinational loops are tolerated: a
+            gate reading a net that is written later in the evaluation order
+            sees the ``x_value`` fill.
         patterns: Optional mapping from primary-input (and pseudo-input) name
             to bit-vector.  Missing entries are filled with random values.
         num_patterns: Number of patterns packed per bit-vector.
@@ -152,23 +105,13 @@ def simulate(netlist: Netlist, patterns: Optional[Mapping[str, int]] = None,
         A :class:`SimulationResult` with per-output and per-net values.
     """
     inputs = _resolved_inputs(netlist, patterns, num_patterns, seed)
-    try:
-        plan = _engine.compile_plan(netlist)
-    except _engine.UnsupportedNetlist:
-        return _simulate_legacy(netlist, inputs, num_patterns, x_value)
-    if plan.prefer_bigints(num_patterns):
-        by_slot = _engine.run_plan_bigints(plan, inputs, num_patterns, x_value)
-        outputs = {po: by_slot[slot] for po, slot in plan.output_slots}
-        net_values = {net: by_slot[slot] for net, slot in plan.value_slots}
-    else:
-        values = _engine.run_plan(plan, inputs, num_patterns, x_value)
-        outputs = _engine.extract_outputs(plan, values, num_patterns)
-        net_values = _engine.extract_values(plan, values, num_patterns)
+    plan = _engine.compile_plan(netlist)
+    values = _engine.run_plan(plan, inputs, num_patterns, x_value)
     return SimulationResult(
         num_patterns=num_patterns,
         inputs=inputs,
-        outputs=outputs,
-        net_values=net_values,
+        outputs={po: values[slot] for po, slot in plan.output_slots},
+        net_values={net: values[slot] for net, slot in plan.value_slots},
     )
 
 
@@ -182,14 +125,12 @@ def _popcount(value: int) -> int:
     return value.bit_count()
 
 
-def _plan_outputs(plan: "_engine.SimPlan", patterns: Mapping[str, int],
-                  num_patterns: int) -> Dict[str, int]:
-    """Primary-output bit-vectors via the plan's preferred executor."""
-    if plan.prefer_bigints(num_patterns):
-        by_slot = _engine.run_plan_bigints(plan, patterns, num_patterns)
-        return {po: by_slot[slot] for po, slot in plan.output_slots}
+def _outputs(netlist: Netlist, patterns: Mapping[str, int],
+             num_patterns: int) -> Dict[str, int]:
+    """Primary-output bit-vectors of ``netlist`` under ``patterns``."""
+    plan = _engine.compile_plan(netlist)
     values = _engine.run_plan(plan, patterns, num_patterns)
-    return _engine.extract_outputs(plan, values, num_patterns)
+    return {po: values[slot] for po, slot in plan.output_slots}
 
 
 def _output_pair(
@@ -198,20 +139,11 @@ def _output_pair(
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Output bit-vectors of both netlists under shared patterns.
 
-    Uses the compiled engine when both netlists support it and falls back to
-    the legacy interpreter otherwise.  Raises :class:`SimulationError` when
-    the primary-output sets differ.
+    Raises :class:`SimulationError` when the primary-output sets differ.
     """
     patterns = _shared_input_patterns(reference, candidate, num_patterns, seed)
-    try:
-        ref_plan = _engine.compile_plan(reference)
-        cand_plan = _engine.compile_plan(candidate)
-    except _engine.UnsupportedNetlist:
-        ref_outputs = simulate(reference, patterns, num_patterns, seed).outputs
-        cand_outputs = simulate(candidate, patterns, num_patterns, seed).outputs
-    else:
-        ref_outputs = _plan_outputs(ref_plan, patterns, num_patterns)
-        cand_outputs = _plan_outputs(cand_plan, patterns, num_patterns)
+    ref_outputs = _outputs(reference, patterns, num_patterns)
+    cand_outputs = _outputs(candidate, patterns, num_patterns)
     if set(ref_outputs) != set(cand_outputs):
         raise SimulationError(
             "netlists expose different primary outputs; the metric is "
@@ -261,22 +193,11 @@ def toggle_rates(netlist: Netlist, num_patterns: int = DEFAULT_NUM_PATTERNS,
                  seed: Optional[int] = 0) -> Dict[str, float]:
     """Per-net switching activity estimate in [0, 0.5].
 
-    The activity of a net is estimated as ``p * (1 - p)`` where ``p`` is the
-    signal probability over the random patterns; this feeds the dynamic-power
-    model.
+    The activity of a net is estimated as ``2 * p * (1 - p)``, the probability
+    that two independent random patterns differ on it, where ``p`` is the
+    signal probability over the random patterns; this feeds the
+    dynamic-power model.
     """
-    try:
-        plan = _engine.compile_plan(netlist)
-    except _engine.UnsupportedNetlist:
-        plan = None
-    if plan is not None and not plan.prefer_bigints(num_patterns):
-        inputs = _resolved_inputs(netlist, None, num_patterns, seed)
-        values = _engine.run_plan(plan, inputs, num_patterns)
-        counts = _engine.value_popcounts(plan, values, num_patterns)
-        return {
-            net: 2.0 * (count / num_patterns) * (1.0 - count / num_patterns)
-            for net, count in counts.items()
-        }
     result = simulate(netlist, None, num_patterns, seed)
     rates: Dict[str, float] = {}
     for net, value in result.net_values.items():

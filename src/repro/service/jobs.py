@@ -25,7 +25,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.spec import ScenarioSpec
-from repro.api.workspace import Workspace, build_label, default_workspace
+from repro.api.workspace import (
+    Workspace,
+    build_label,
+    default_jobs,
+    default_workspace,
+)
 from repro.exec.errors import ExecError, ScenarioError
 from repro.service.schemas import (
     InvalidTransition,
@@ -41,6 +46,13 @@ log = logging.getLogger("repro")
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def _client_jobs(value: Any) -> int:
+    """Validate a client-chosen worker count; clamp it to the CPU ceiling."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {value!r}")
+    return min(value, default_jobs())
 
 
 def _wire_failure(record: Any) -> Dict[str, Any]:
@@ -189,13 +201,19 @@ class JobManager:
         request whose (canonical spec hash, on_error) matches a known job
         joins it instead of creating a second one — including jobs that
         already finished, which is exactly the warm-cache replay path.
+        A client ``jobs`` must be an integer >= 1 and is clamped to
+        :func:`~repro.api.workspace.default_jobs`; the job id ignores it.
         """
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         if "spec" in payload and "benchmark" not in payload:
             spec_data = payload["spec"]
             on_error = payload.get("on_error", self.default_on_error) or "raise"
-            jobs = int(payload.get("jobs") or self.default_jobs or 1)
+            requested = payload.get("jobs")
+            if requested is None:
+                jobs = int(self.default_jobs or 1)
+            else:
+                jobs = _client_jobs(requested)
         else:
             spec_data = payload
             on_error = self.default_on_error or "raise"

@@ -106,7 +106,7 @@ class StaleEntry(CodecError):
 
 #: Fingerprint memo keyed by netlist identity, invalidated through the
 #: netlist's own ``topology_version`` edit counter — the same contract the
-#: vectorized simulation engine keys its compiled-plan caches on.  A seed
+#: simulation engine keys its compiled-plan caches on.  A seed
 #: sweep replays N entries against ONE regenerated netlist; without the memo
 #: every load re-hashes the full structure.
 _fingerprint_memo: "weakref.WeakKeyDictionary[Netlist, Tuple[int, str]]" = (

@@ -130,6 +130,32 @@ class TestRegistry:
         assert params.boxes == (1, 2)
         assert params.window == (3, 4)
 
+    def test_field_hints_resolved_once_per_class(self, monkeypatch):
+        from repro.api import registry as registry_module
+
+        @dataclasses.dataclass(frozen=True)
+        class Params:
+            boxes: Tuple[int, ...] = ()
+
+        calls = []
+        real = registry_module.typing.get_type_hints
+        monkeypatch.setattr(registry_module.typing, "get_type_hints",
+                            lambda cls: calls.append(cls) or real(cls))
+        for _ in range(3):
+            assert build_params(Params, {"boxes": [1]}).boxes == (1,)
+        assert calls == [Params]
+
+    def test_unresolvable_field_hints_are_retried(self, monkeypatch):
+        from repro.api import registry as registry_module
+
+        @dataclasses.dataclass(frozen=True)
+        class Params:
+            later: _DefinedLater = None  # noqa: F821
+
+        assert registry_module._resolved_hints(Params) == {}
+        monkeypatch.setitem(globals(), "_DefinedLater", Optional[int])
+        assert registry_module._resolved_hints(Params) == {"later": Optional[int]}
+
 
 class TestScenarioSpec:
     def spec(self) -> ScenarioSpec:

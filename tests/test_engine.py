@@ -1,21 +1,24 @@
-"""Tests for the compiled, vectorized simulation engine.
+"""Tests for the compiled simulation engine.
 
-The contract under test: every executor of a compiled plan — the NumPy
-``uint64``-packed executor, the bigint tuple-program interpreter and the
-code-generated bigint specialization — is **bit-for-bit identical** to the
-legacy per-gate interpreter at equal seed, on every ISCAS circuit as well as
-on netlists with dangling/X nets and combinational loops.  The vectorized
-attack cost matrix is checked against the historical per-pair construction.
+The contract under test: the engine's compiled arc program is **bit-for-bit
+identical** to the historical per-gate interpreter (:func:`_simulate_legacy`,
+kept here as the oracle) at equal seed, on every ISCAS circuit as well as on
+netlists with dangling/X nets, combinational loops and custom cells.  The
+vectorized attack cost matrix is checked against the historical per-pair
+construction.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import pickle
+from typing import Dict
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.network_flow import (
     NetworkFlowAttackConfig,
@@ -26,8 +29,9 @@ from repro.attacks.network_flow import (
 )
 from repro.circuits import c17_netlist, iscas85_netlist
 from repro.circuits.iscas85 import PAPER_ISCAS85_SET
+from repro.circuits.random_logic import RandomLogicSpec, generate_random_logic
 from repro.netlist import engine
-from repro.netlist.cells import Cell, CellPin, NaryLogicFn, default_library
+from repro.netlist.cells import Cell, CellLibrary, CellPin, NaryLogicFn, default_library
 from repro.netlist.graph import (
     netlist_to_digraph,
     pseudo_topological_order,
@@ -35,8 +39,8 @@ from repro.netlist.graph import (
 )
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import (
+    SimulationResult,
     _resolved_inputs,
-    _simulate_legacy,
     hamming_distance,
     output_error_rate,
     simulate,
@@ -45,63 +49,73 @@ from repro.netlist.simulate import (
 from repro.sm.split import extract_feol
 
 
-def _fresh_plan(netlist):
+def _simulate_legacy(netlist: Netlist, inputs: Dict[str, int],
+                     num_patterns: int, x_value: int) -> SimulationResult:
+    """Oracle: per-gate evaluation over Python bigints and a values dict."""
+    mask = (1 << num_patterns) - 1
+    values: Dict[str, int] = dict(inputs)
+
+    # The pseudo-topological order degrades gracefully on (attacker-induced)
+    # combinational loops instead of refusing to simulate.
+    order = pseudo_topological_order(netlist)
+    for gate_name in order:
+        gate = netlist.gates[gate_name]
+        if gate.cell.is_sequential:
+            continue  # Outputs already seeded as pseudo inputs.
+        gate_inputs: Dict[str, int] = {}
+        for pin in gate.input_pin_names:
+            net_name = gate.net_on(pin)
+            if net_name is None:
+                gate_inputs[pin] = x_value & mask
+            else:
+                gate_inputs[pin] = values.get(net_name, x_value & mask)
+        outputs = gate.cell.evaluate(gate_inputs, mask)
+        for pin, value in outputs.items():
+            net_name = gate.net_on(pin)
+            if net_name is not None:
+                values[net_name] = value & mask
+
+    observed: Dict[str, int] = {}
+    for po in netlist.primary_outputs:
+        net_name = netlist.output_nets[po]
+        observed[po] = values.get(net_name, x_value & mask)
+
+    return SimulationResult(
+        num_patterns=num_patterns,
+        inputs=inputs,
+        outputs=observed,
+        net_values=values,
+    )
+
+
+def _assert_matches_oracle(netlist, num_patterns, seed=7, x_value=0):
+    """A freshly compiled plan must replay the oracle exactly."""
     engine._PLAN_CACHE.pop(netlist, None)
-    return engine.compile_plan(netlist)
+    expected = _simulate_legacy(
+        netlist, _resolved_inputs(netlist, None, num_patterns, seed),
+        num_patterns, x_value,
+    )
+    for _run in range(2):  # compiled, then served from the plan cache
+        result = simulate(netlist, None, num_patterns, seed, x_value)
+        assert result.inputs == expected.inputs
+        assert result.outputs == expected.outputs
+        assert result.net_values == expected.net_values
 
 
-def _assert_all_executors_match(netlist, num_patterns, seed=7, x_value=0):
-    """Every engine executor must replay the legacy interpreter exactly."""
-    inputs = _resolved_inputs(netlist, None, num_patterns, seed)
-    legacy = _simulate_legacy(netlist, dict(inputs), num_patterns, x_value)
-    plan = _fresh_plan(netlist)
-
-    interpreted = engine.run_plan_bigints(plan, inputs, num_patterns, x_value)
-    generated = engine.run_plan_bigints(plan, inputs, num_patterns, x_value)
-    assert plan._bigint_fn is not None  # second run triggered codegen
-    assert interpreted == generated
-    assert {n: interpreted[s] for n, s in plan.value_slots} == legacy.net_values
-    assert {po: interpreted[s] for po, s in plan.output_slots} == legacy.outputs
-
-    values = engine.run_plan(plan, inputs, num_patterns, x_value)
-    assert engine.extract_values(plan, values, num_patterns) == legacy.net_values
-    assert engine.extract_outputs(plan, values, num_patterns) == legacy.outputs
-
-
-class TestPackingHelpers:
-    def test_pack_unpack_roundtrip(self):
-        for num_patterns in (1, 8, 63, 64, 65, 300):
-            words = engine.num_words(num_patterns)
-            value = (0xDEADBEEFCAFEF00D << 70) & ((1 << num_patterns) - 1)
-            row = engine.pack_bigint(value, words)
-            assert engine.unpack_bigint(row, num_patterns) == value
-
-    def test_popcount_matches_bit_count(self):
-        rng = np.random.default_rng(1)
-        array = rng.integers(0, 2**63, size=(5, 7), dtype=np.uint64)
-        expected = sum(int(w).bit_count() for w in array.ravel())
-        assert engine.popcount_words(array) == expected
-        per_row = engine.popcount_rows(array)
-        assert per_row.tolist() == [
-            sum(int(w).bit_count() for w in row) for row in array
-        ]
-
-    def test_mask_tail(self):
-        row = np.full(2, np.uint64(0xFFFFFFFFFFFFFFFF))
-        engine.mask_tail(row, 70)
-        assert row[1] == np.uint64(0x3F)
+def _library_with(*cells):
+    return CellLibrary("with_custom", list(default_library()) + list(cells))
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("name", ("c17",) + PAPER_ISCAS85_SET)
     def test_every_iscas_circuit_bit_exact(self, name):
         netlist = c17_netlist() if name == "c17" else iscas85_netlist(name, seed=1)
-        _assert_all_executors_match(netlist, num_patterns=128, seed=3)
+        _assert_matches_oracle(netlist, num_patterns=128, seed=3)
 
     @pytest.mark.parametrize("num_patterns", (8, 63, 64, 65, 100, 512))
     def test_non_word_aligned_pattern_counts(self, num_patterns):
         netlist = iscas85_netlist("c432", seed=1)
-        _assert_all_executors_match(netlist, num_patterns)
+        _assert_matches_oracle(netlist, num_patterns)
 
     @pytest.mark.parametrize("x_value_kind", ("zero", "ones", "pattern"))
     def test_dangling_inputs_and_x_values(self, x_value_kind):
@@ -114,7 +128,7 @@ class TestEngineEquivalence:
         num_patterns = 96
         x_value = {"zero": 0, "ones": (1 << num_patterns) - 1,
                    "pattern": 0x5A5A5A5A5A5A5A5A5A5A}[x_value_kind]
-        _assert_all_executors_match(netlist, num_patterns, x_value=x_value)
+        _assert_matches_oracle(netlist, num_patterns, x_value=x_value)
 
     def test_undriven_output_net_reads_x(self):
         netlist = Netlist("floating_po")
@@ -123,7 +137,7 @@ class TestEngineEquivalence:
         netlist.add_primary_output("o1", "n1")
         netlist.add_net("floating")
         netlist.add_primary_output("o2", "floating")
-        _assert_all_executors_match(netlist, 64, x_value=(1 << 64) - 1)
+        _assert_matches_oracle(netlist, 64, x_value=(1 << 64) - 1)
 
     def test_combinational_loop_two_gate(self):
         netlist = Netlist("loop2")
@@ -134,7 +148,7 @@ class TestEngineEquivalence:
         netlist.add_gate("g3", "NOR2_X1", {"A1": "n1", "A2": "n2", "ZN": "n3"})
         netlist.add_primary_output("o", "n3")
         for num_patterns in (16, 64, 100):
-            _assert_all_executors_match(netlist, num_patterns)
+            _assert_matches_oracle(netlist, num_patterns)
 
     def test_combinational_loop_self(self):
         netlist = Netlist("selfloop")
@@ -142,7 +156,7 @@ class TestEngineEquivalence:
         netlist.add_gate("g1", "OR2_X1", {"A1": "a", "A2": "n1", "ZN": "n1"})
         netlist.add_gate("g2", "INV_X1", {"A": "n1", "ZN": "n2"})
         netlist.add_primary_output("o", "n2")
-        _assert_all_executors_match(netlist, 64)
+        _assert_matches_oracle(netlist, 64)
 
     def test_loop_in_attack_recovered_shape(self):
         """A larger ring with taps, as network-flow recovery can produce."""
@@ -158,7 +172,7 @@ class TestEngineEquivalence:
         netlist.add_gate("tap", "XOR2_X1", {"A1": "ring2", "A2": "ring5", "Z": "out_net"})
         netlist.add_primary_output("o", "out_net")
         for num_patterns in (32, 128):
-            _assert_all_executors_match(netlist, num_patterns)
+            _assert_matches_oracle(netlist, num_patterns)
 
     def test_simulate_matches_legacy_through_public_api(self, c432):
         inputs = _resolved_inputs(c432, None, 256, 11)
@@ -168,9 +182,8 @@ class TestEngineEquivalence:
         assert fast.net_values == legacy.net_values
         assert fast.inputs == legacy.inputs
 
-    def test_custom_cell_falls_back_to_legacy(self):
-        """Cells without logic_ops metadata use the legacy interpreter."""
-        library = default_library()
+    def test_custom_cell_compiles_and_matches_oracle(self):
+        """Cells without logic_ops compile to arcs that call their function."""
         custom = Cell(
             name="MAJ3_CUSTOM",
             pins=(
@@ -184,22 +197,99 @@ class TestEngineEquivalence:
             area_um2=1.0,
             width_um=1.0,
         )
-        library_cells = list(library) + [custom]
-        from repro.netlist.cells import CellLibrary
-
-        netlist = Netlist("custom", CellLibrary("with_custom", library_cells))
+        netlist = Netlist("custom", _library_with(custom))
         netlist.add_primary_input("a")
         netlist.add_primary_input("b")
         netlist.add_primary_input("c")
         netlist.add_gate("g", "MAJ3_CUSTOM", {"A": "a", "B": "b", "C": "c", "Z": "n"})
+        netlist.add_gate("h", "MAJ3_CUSTOM", {"A": "n", "B": "b", "Z": "m"})  # C open
         netlist.add_primary_output("o", "n")
-        with pytest.raises(engine.UnsupportedNetlist):
-            engine.compile_plan(netlist)
-        result = simulate(netlist, num_patterns=64, seed=1)
-        expected = _simulate_legacy(
-            netlist, _resolved_inputs(netlist, None, 64, 1), 64, 0
+        netlist.add_primary_output("p", "m")
+        plan = engine.compile_plan(netlist)
+        assert [type(op) for op, _ins, _out in plan.arc_program] == [engine.CellArc] * 2
+        for x_value in (0, (1 << 64) - 1):
+            _assert_matches_oracle(netlist, 64, seed=1, x_value=x_value)
+
+    def test_two_output_custom_cell_matches_oracle(self):
+        """Each output pin of a multi-output custom cell is its own arc."""
+        half_adder = Cell(
+            name="HA_CUSTOM",
+            pins=(
+                CellPin("A", "input", 1.0), CellPin("B", "input", 1.0),
+                CellPin("S", "output"), CellPin("CO", "output"),
+            ),
+            function=lambda inputs, mask: {
+                "S": (inputs["A"] ^ inputs["B"]) & mask,
+                "CO": inputs["A"] & inputs["B"] & mask,
+            },
+            area_um2=1.0,
+            width_um=1.0,
         )
-        assert result.outputs == expected.outputs
+        netlist = Netlist("half_adders", _library_with(half_adder))
+        for name in ("a", "b", "c"):
+            netlist.add_primary_input(name)
+        netlist.add_gate("ha1", "HA_CUSTOM", {"A": "a", "B": "b", "S": "s1", "CO": "c1"})
+        netlist.add_gate("ha2", "HA_CUSTOM", {"A": "s1", "B": "c", "S": "sum"})  # CO open
+        netlist.add_gate("or", "OR2_X1", {"A1": "c1", "A2": "s1", "ZN": "carry"})
+        netlist.add_primary_output("sum", "sum")
+        netlist.add_primary_output("carry", "carry")
+        plan = engine.compile_plan(netlist)
+        assert len(plan.arc_program) == 4  # ha1.S, ha1.CO, ha2.S, or.ZN
+        for num_patterns in (1, 100):
+            _assert_matches_oracle(netlist, num_patterns)
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_netlist(num_gates, sequential_fraction, seed):
+    spec = RandomLogicSpec(
+        name="prop", num_gates=num_gates, num_inputs=6, num_outputs=4, seed=seed,
+        sequential_fraction=sequential_fraction,
+    )
+    return generate_random_logic(spec)
+
+
+@st.composite
+def _rewired_netlists(draw):
+    """A generated netlist after random ``move_sink`` rewirings.
+
+    Targets are drawn from every net plus one undriven net, so rewirings
+    close combinational loops and leave dangling sink pins, the shapes the
+    randomizer and the attacks produce.
+    """
+    netlist = _generated_netlist(
+        draw(st.integers(min_value=8, max_value=60)),
+        draw(st.sampled_from((0.0, 0.12))),
+        draw(st.integers(min_value=0, max_value=2**16)),
+    ).copy("rewired")
+    netlist.add_net("floating")
+    sinks = [
+        (gate.name, pin)
+        for gate in netlist.gates.values()
+        for pin in gate.input_pin_names
+        if gate.net_on(pin) is not None
+    ]
+    targets = sorted(netlist.nets)
+    moves = draw(st.lists(
+        st.tuples(st.sampled_from(sinks), st.sampled_from(targets)), max_size=12,
+    ))
+    for (gate_name, pin), target in moves:
+        netlist.move_sink(gate_name, pin, target)
+    return netlist
+
+
+class TestOracleProperty:
+    @given(
+        netlist=_rewired_netlists(),
+        num_patterns=st.integers(min_value=1, max_value=300),
+        x_kind=st.sampled_from(("zero", "ones", "pattern")),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_rewired_netlists_match_oracle(self, netlist, num_patterns, x_kind, seed):
+        x_value = {"zero": 0, "ones": (1 << num_patterns) - 1,
+                   "pattern": 0x5A5A5A5A5A5A5A5A5A5A}[x_kind]
+        _assert_matches_oracle(netlist, num_patterns, seed=seed, x_value=x_value)
 
 
 class TestPlanCache:

@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional, Tuple
 import pytest
 
 from repro.api.spec import ScenarioSpec
-from repro.api.workspace import Workspace
+from repro.api.workspace import Workspace, default_jobs
 from repro.exec import FaultPlan, RetryPolicy
 from repro.service import ScenarioService
 from repro.service.schemas import validate_job_dict
@@ -158,6 +158,31 @@ def test_unbounded_seed_sweep_400(service):
         **SPEC, "seeds": {"start": 0, "count": 10**9}})
     assert status == 400
     assert "limit" in body["error"]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, "2", 2.5, [2], True])
+def test_invalid_client_jobs_400(service, jobs):
+    status, body = request(service, "POST", "/v1/jobs",
+                           body={"spec": SPEC, "jobs": jobs})
+    assert status == 400
+    assert "jobs must be an integer >= 1" in body["error"]
+    assert service.manager.list_jobs() == []
+
+
+def test_huge_client_jobs_clamped_to_cpu_ceiling(service):
+    status, created = request(service, "POST", "/v1/jobs",
+                              body={"spec": SPEC, "jobs": 100000})
+    assert status == 201
+    assert created["job"]["jobs"] == default_jobs()
+    job_id = created["job"]["id"]
+    status, wire = request(service, "GET", f"/v1/jobs/{job_id}/result?wait=120")
+    assert status == 200 and wire["status"] == "done"
+    # The job id ignores ``jobs``: the bare spec joins the same job.
+    status, joined = request(service, "POST", "/v1/jobs", body=SPEC)
+    assert status == 200 and joined["job"]["id"] == job_id
+    local = Workspace(store=None).run_sweeps(
+        [ScenarioSpec.from_dict(SPEC)])[0].to_dict()
+    assert strip_elapsed(wire["result"]) == strip_elapsed(local)
 
 
 def test_unknown_route_404(service):
