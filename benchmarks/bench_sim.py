@@ -11,7 +11,11 @@ track regressions::
 
 The ``seed_equivalent`` numbers replay the original implementation exactly
 (networkx-based evaluation ordering + per-gate bigint interpretation), so the
-reported speedups are measured against the repository's seed state.
+reported speedups are measured against the repository's seed state.  The
+``randomize_c1908_reference`` row replays the retired randomize→OER loop
+(one plan compile per OER evaluation, ``nx.has_path`` loop checks), the
+oracle kept in ``tests/test_randomizer.py``; ``randomize_c1908`` is the
+rewired-plan loop, asserted to make the same swaps and OER history.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import networkx as nx
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The retired randomize loop lives in the test suite as the oracle.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from repro.attacks.network_flow import (  # noqa: E402
     NetworkFlowAttackConfig,
@@ -41,6 +47,7 @@ from repro.attacks.network_flow import (  # noqa: E402
 )
 from repro.circuits import iscas85_netlist  # noqa: E402
 from repro.core import ProtectionConfig, protect  # noqa: E402
+from repro.core.randomizer import randomize_netlist  # noqa: E402
 from repro.netlist import engine  # noqa: E402
 from repro.netlist.graph import netlist_to_digraph  # noqa: E402
 from repro.netlist.simulate import (  # noqa: E402
@@ -51,6 +58,11 @@ from repro.netlist.simulate import (  # noqa: E402
     simulate,
 )
 from repro.sm.split import extract_feol  # noqa: E402
+from test_randomizer import (  # noqa: E402
+    assert_same_randomization,
+    randomize_reference,
+    step_config,
+)
 
 
 def _timeit(fn: Callable[[], object], repeat: int) -> float:
@@ -287,6 +299,27 @@ def bench_simulation(benchmark: str, num_patterns: int, repeat: int) -> Dict[str
     return results
 
 
+def bench_randomize(repeat: int, seed: int = 2) -> Dict[str, Dict]:
+    """The randomize→OER loop on c1908 at ``proposed_sweep``'s larger budget
+    step (10 % of the sinks), against the retired loop that recompiles the
+    plan for every OER evaluation and checks swaps with ``nx.has_path``."""
+    netlist = iscas85_netlist("c1908", seed=1)
+    config = step_config(netlist, 0.10, seed)
+    result = randomize_netlist(netlist, config)
+    assert_same_randomization(result, randomize_reference(netlist, config))
+    extra = {"swaps": result.num_swaps, "oer_evals": len(result.oer_history)}
+    results: Dict[str, Dict] = {}
+    for name, fn in (("randomize_c1908_reference", randomize_reference),
+                     ("randomize_c1908", randomize_netlist)):
+        seconds = _timeit(lambda: fn(netlist, config), repeat)
+        results[name] = {
+            "wall_clock_s": round(seconds, 6),
+            "ops_per_s": round(len(result.oer_history) / seconds, 1),
+            **extra,
+        }
+    return results
+
+
 def bench_attack(repeat: int) -> Dict[str, Dict]:
     netlist = iscas85_netlist("c432", seed=1)
     artefacts = protect(
@@ -343,6 +376,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.repeat = 1
 
     sim_results = bench_simulation(args.benchmark, args.patterns, args.repeat)
+    sim_results.update(bench_randomize(args.repeat))
     attack_results = bench_attack(args.repeat)
 
     def speedup(baseline: str, contender: str, table: Dict[str, Dict]) -> float:
@@ -362,7 +396,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "benchmark": args.benchmark,
             "num_patterns": args.patterns,
             "repeat": args.repeat,
-            "ops_unit": "gate-pattern evaluations (simulation) / candidate pairs (attack)",
+            "ops_unit": "gate-pattern evaluations (simulation) / OER evaluations "
+                        "(randomize) / candidate pairs (attack)",
         },
         "simulation": sim_results,
         "attack": attack_results,
@@ -371,6 +406,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "oer_warm": speedup("oer_seed_equivalent", "oer_engine_warm", sim_results),
             "oer_cold": speedup("oer_seed_equivalent", "oer_engine_cold", sim_results),
             "hd_warm": speedup("hd_seed_equivalent", "hd_engine_warm", sim_results),
+            "randomize": speedup("randomize_c1908_reference", "randomize_c1908", sim_results),
             "attack_cost_matrix": speedup(
                 "cost_matrix_seed_equivalent", "cost_matrix_vectorized", attack_results
             ),

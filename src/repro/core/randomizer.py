@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
-from repro.netlist.graph import netlist_to_digraph
+from repro.netlist.engine import closes_loop, rewire_sink
 from repro.netlist.netlist import Netlist, PinRef
 from repro.netlist.simulate import output_error_rate
 from repro.utils.rng import make_rng
@@ -110,54 +108,6 @@ def _driver_gate(netlist: Netlist, net_name: str) -> Optional[str]:
     return driver[0] if driver is not None else None
 
 
-class _LoopChecker:
-    """Incremental combinational-loop checker over gate-level connectivity."""
-
-    def __init__(self, netlist: Netlist):
-        self._netlist = netlist
-        graph = netlist_to_digraph(netlist)
-        sequential = [
-            name for name, data in graph.nodes(data=True) if data.get("sequential")
-        ]
-        graph.remove_nodes_from(sequential)
-        # Parallel edges are tracked with a multiplicity attribute so removing
-        # one connection does not delete an edge another connection still needs.
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(graph.nodes())
-        for u, v in graph.edges():
-            if self._graph.has_edge(u, v):
-                self._graph[u][v]["count"] += 1
-            else:
-                self._graph.add_edge(u, v, count=1)
-
-    def would_create_loop(self, driver_gate: Optional[str], sink_gate: str) -> bool:
-        if driver_gate is None:
-            return False
-        if driver_gate == sink_gate:
-            return True
-        if driver_gate not in self._graph or sink_gate not in self._graph:
-            return False
-        return nx.has_path(self._graph, sink_gate, driver_gate)
-
-    def remove_edge(self, driver_gate: Optional[str], sink_gate: str) -> None:
-        if driver_gate is None or not self._graph.has_edge(driver_gate, sink_gate):
-            return
-        data = self._graph[driver_gate][sink_gate]
-        data["count"] -= 1
-        if data["count"] <= 0:
-            self._graph.remove_edge(driver_gate, sink_gate)
-
-    def add_edge(self, driver_gate: Optional[str], sink_gate: str) -> None:
-        if driver_gate is None:
-            return
-        if sink_gate not in self._graph:
-            return
-        if self._graph.has_edge(driver_gate, sink_gate):
-            self._graph[driver_gate][sink_gate]["count"] += 1
-        else:
-            self._graph.add_edge(driver_gate, sink_gate, count=1)
-
-
 def randomize_netlist(netlist: Netlist,
                       config: Optional[RandomizerConfig] = None) -> RandomizationResult:
     """Randomize ``netlist`` by swapping driver→sink connections.
@@ -174,7 +124,6 @@ def randomize_netlist(netlist: Netlist,
     config = config if config is not None else RandomizerConfig()
     rng = make_rng(config.seed, "randomizer", netlist.name)
     erroneous = netlist.copy(f"{netlist.name}_erroneous")
-    checker = _LoopChecker(erroneous)
 
     swaps: Dict[PinRef, SwapRecord] = {}
     protected: Set[str] = set()
@@ -202,22 +151,16 @@ def randomize_netlist(netlist: Netlist,
         driver_b = _driver_gate(erroneous, net_b)
         sink_gate_a, _ = sink_a
         sink_gate_b, _ = sink_b
-        # After the swap, net_b drives sink_a and net_a drives sink_b.
-        # Check loops against the graph *without* the edges being removed.
-        checker.remove_edge(driver_a, sink_gate_a)
-        checker.remove_edge(driver_b, sink_gate_b)
-        creates_loop = (
-            checker.would_create_loop(driver_b, sink_gate_a)
-            or checker.would_create_loop(driver_a, sink_gate_b)
-        )
-        if creates_loop:
-            checker.add_edge(driver_a, sink_gate_a)
-            checker.add_edge(driver_b, sink_gate_b)
+        # After the swap, net_b drives sink_a and net_a drives sink_b.  Each
+        # new connection is checked against the current graph: a loop-closing
+        # path runs from the sink to the driver, and such a path never needs
+        # an edge into that sink or out of that driver, which are exactly the
+        # two connections the swap removes.
+        if (closes_loop(erroneous, driver_b, sink_gate_a)
+                or closes_loop(erroneous, driver_a, sink_gate_b)):
             return False
-        original_a = erroneous.move_sink(sink_gate_a, sink_a[1], net_b)
-        original_b = erroneous.move_sink(sink_gate_b, sink_b[1], net_a)
-        checker.add_edge(driver_b, sink_gate_a)
-        checker.add_edge(driver_a, sink_gate_b)
+        original_a = rewire_sink(erroneous, sink_gate_a, sink_a[1], net_b)
+        original_b = rewire_sink(erroneous, sink_gate_b, sink_b[1], net_a)
         erroneous.gates[sink_gate_a].dont_touch = True
         erroneous.gates[sink_gate_b].dont_touch = True
         for gate in (_driver_gate(erroneous, net_a), _driver_gate(erroneous, net_b)):

@@ -133,14 +133,24 @@ def topological_gate_order(netlist: Netlist) -> List[str]:
     """Return gate names in a valid combinational evaluation order.
 
     Sequential cells are placed first (their outputs act as pseudo-primary
-    inputs for the combinational logic they feed).  Raises
-    :class:`networkx.NetworkXUnfeasible` if the combinational logic is cyclic.
+    inputs for the combinational logic they feed).  The combinational gates
+    follow in Kahn order, ready gates first-in first-out, which is the order
+    ``nx.topological_sort`` gives on the :func:`netlist_to_digraph` view.
+    Raises :class:`networkx.NetworkXUnfeasible` if the combinational logic is
+    cyclic.
     """
-    graph = netlist_to_digraph(netlist)
-    sequential = [n for n, data in graph.nodes(data=True) if data.get("sequential")]
-    comb = graph.copy()
-    comb.remove_nodes_from(sequential)
-    order = list(nx.topological_sort(comb))
+    sequential = [
+        name for name, gate in netlist.gates.items() if gate.cell.is_sequential
+    ]
+    successors, in_degree = _combinational_adjacency(netlist)
+    order = [name for name, degree in in_degree.items() if degree == 0]
+    for gate in order:  # Grows while it is walked.
+        for succ in successors[gate]:
+            in_degree[succ] -= 1
+            if in_degree[succ] == 0:
+                order.append(succ)
+    if len(order) < len(in_degree):
+        raise nx.NetworkXUnfeasible("combinational logic contains a cycle")
     return sequential + order
 
 
@@ -150,11 +160,12 @@ def _combinational_adjacency(netlist: Netlist):
     Pure-dict equivalent of building :func:`netlist_to_digraph` and removing
     the sequential nodes, but ~20x faster — this sits on the hot path of
     simulation-plan compilation.  Iteration order (nets in insertion order,
-    sinks in connection order, edges deduplicated on first insertion) matches
-    the networkx construction exactly so the resulting evaluation orders are
-    identical.
+    sinks in connection order, each edge at its first insertion) matches the
+    networkx construction exactly so the resulting evaluation orders are
+    identical.  ``successors[u][v]`` counts the sink pins of ``v`` on nets
+    driven by ``u``; ``in_degree`` counts distinct predecessors.
     """
-    successors: Dict[str, Dict[str, None]] = {
+    successors: Dict[str, Dict[str, int]] = {
         name: {} for name, gate in netlist.gates.items()
         if not gate.cell.is_sequential
     }
@@ -165,8 +176,12 @@ def _combinational_adjacency(netlist: Netlist):
             continue
         fanout = successors[driver[0]]
         for sink_gate, _pin in net.sinks:
-            if sink_gate in in_degree and sink_gate not in fanout:
-                fanout[sink_gate] = None
+            if sink_gate not in in_degree:
+                continue
+            if sink_gate in fanout:
+                fanout[sink_gate] += 1
+            else:
+                fanout[sink_gate] = 1
                 in_degree[sink_gate] += 1
     return successors, in_degree
 

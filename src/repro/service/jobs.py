@@ -21,8 +21,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.spec import ScenarioSpec
 from repro.api.workspace import (
@@ -39,9 +40,14 @@ from repro.service.schemas import (
     job_id_for,
 )
 
-__all__ = ["Job", "JobManager"]
+__all__ = ["Job", "JobManager", "MAX_FINISHED_JOBS"]
 
 log = logging.getLogger("repro")
+
+#: Terminal jobs kept in the job table; past it the least recently finished
+#: are evicted (their ids then 404, and resubmitting creates a fresh job).
+#: Queued and running jobs are never evicted.
+MAX_FINISHED_JOBS = 256
 
 
 def _utc_now() -> str:
@@ -64,9 +70,12 @@ def _wire_failure(record: Any) -> Dict[str, Any]:
 class Job:
     """One content-addressed sweep job and its live event log."""
 
-    def __init__(self, spec: ScenarioSpec, *, on_error: str, jobs: int):
+    def __init__(self, spec: ScenarioSpec, *, on_error: str, jobs: int,
+                 on_finish: Optional[Callable[["Job"], None]] = None):
         spec_hash = spec.content_hash()
         self.spec = spec
+        #: Runs once the job is terminal, before any waiter wakes.
+        self.on_finish = on_finish
         self.machine = JobStateMachine()
         self.record = JobRecord(
             id=job_id_for(spec_hash, on_error),
@@ -146,6 +155,8 @@ class Job:
             self.record.events = len(self.events)
             self.record.state = self.machine.state
             self.record.finished_utc = _utc_now()
+            if self.on_finish is not None:
+                self.on_finish(self)
             self.cond.notify_all()
 
     @property
@@ -179,6 +190,8 @@ class JobManager:
         self.default_jobs = jobs
         self.default_on_error = on_error
         self._jobs: Dict[str, Job] = {}
+        #: Ids of terminal jobs, least recently finished first.
+        self._finished: "OrderedDict[str, None]" = OrderedDict()
         self._lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-job")
@@ -226,16 +239,20 @@ class JobManager:
         spec = ScenarioSpec.from_dict(spec_data)
         spec.validate()
         job_id = job_id_for(spec.content_hash(), on_error)
+        # Lock order is job.cond -> self._lock (a finishing job retires
+        # itself under its condition), so no job condition is taken here.
         with self._lock:
             existing = self._jobs.get(job_id)
-            if existing is not None:
-                with existing.cond:
-                    existing.record.requests += 1
-                return existing, False
-            if self._closed:
-                raise RuntimeError("job manager is shut down")
-            job = Job(spec, on_error=on_error, jobs=jobs)
-            self._jobs[job_id] = job
+            if existing is None:
+                if self._closed:
+                    raise RuntimeError("job manager is shut down")
+                job = Job(spec, on_error=on_error, jobs=jobs,
+                          on_finish=self._retire)
+                self._jobs[job_id] = job
+        if existing is not None:
+            with existing.cond:
+                existing.record.requests += 1
+            return existing, False
         self._executor.submit(self._run, job)
         return job, True
 
@@ -297,3 +314,11 @@ class JobManager:
         finally:
             with job.cond:
                 record.elapsed_s = time.perf_counter() - start
+
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as finished; evict the oldest past the bound."""
+        with self._lock:
+            self._finished[job.record.id] = None
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                evicted, _ = self._finished.popitem(last=False)
+                del self._jobs[evicted]

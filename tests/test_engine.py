@@ -33,6 +33,7 @@ from repro.circuits.random_logic import RandomLogicSpec, generate_random_logic
 from repro.netlist import engine
 from repro.netlist.cells import Cell, CellLibrary, CellPin, NaryLogicFn, default_library
 from repro.netlist.graph import (
+    has_combinational_loop,
     netlist_to_digraph,
     pseudo_topological_order,
     transitive_closure_bitmap,
@@ -290,6 +291,98 @@ class TestOracleProperty:
         x_value = {"zero": 0, "ones": (1 << num_patterns) - 1,
                    "pattern": 0x5A5A5A5A5A5A5A5A5A5A}[x_kind]
         _assert_matches_oracle(netlist, num_patterns, seed=seed, x_value=x_value)
+
+
+@st.composite
+def _rewire_sequences(draw):
+    """A generated netlist plus a random sequence of sink moves.
+
+    Each move targets a random net, the undriven net ``floating``, or an
+    output net downstream of the sink's gate (closing a combinational loop,
+    which exercises the recompile fallback).
+    """
+    netlist = _generated_netlist(
+        draw(st.integers(min_value=8, max_value=60)),
+        draw(st.sampled_from((0.0, 0.12))),
+        draw(st.integers(min_value=0, max_value=2**16)),
+    ).copy("rewired")
+    netlist.add_net("floating")
+    sinks = sorted(
+        (gate.name, pin)
+        for gate in netlist.gates.values()
+        for pin in gate.input_pin_names
+        if gate.net_on(pin) is not None
+    )
+    moves = draw(st.lists(
+        st.tuples(st.sampled_from(sinks),
+                  st.sampled_from(("random",) * 4 + ("floating", "downstream")),
+                  st.integers(min_value=0, max_value=2**16)),
+        min_size=1, max_size=16,
+    ))
+    return netlist, moves
+
+
+def _move_target(netlist, gate_name, kind, pick):
+    if kind == "floating":
+        return "floating"
+    if kind == "downstream":
+        graph = netlist_to_digraph(netlist)
+        cone = sorted({gate_name} | nx.descendants(graph, gate_name))
+        nets = [netlist.gate_output_net(gate) for gate in cone
+                if not netlist.gates[gate].cell.is_sequential]
+        nets = [net for net in nets if net is not None]
+        if nets:
+            return nets[pick % len(nets)]
+    names = sorted(netlist.nets)
+    return names[pick % len(names)]
+
+
+def _combinational_graph(netlist):
+    graph = netlist_to_digraph(netlist)
+    graph.remove_nodes_from(
+        [name for name, data in graph.nodes(data=True) if data.get("sequential")]
+    )
+    return graph
+
+
+class TestRewireProperty:
+    @given(case=_rewire_sequences(), num_patterns=st.integers(min_value=1, max_value=200),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_rewired_plan_matches_oracle(self, case, num_patterns, seed):
+        netlist, moves = case
+        for (gate_name, pin), kind, pick in moves:
+            before = engine.compile_plan(netlist)
+            acyclic_before = not has_combinational_loop(netlist)
+            target = _move_target(netlist, gate_name, kind, pick)
+            old_net = netlist.gates[gate_name].net_on(pin)
+            assert engine.rewire_sink(netlist, gate_name, pin, target) == old_net
+            assert netlist.gates[gate_name].net_on(pin) == target
+
+            # Patched in place unless the move is a fallback case.
+            graph = _combinational_graph(netlist)
+            acyclic = nx.is_directed_acyclic_graph(graph)
+            plan = engine.compile_plan(netlist)
+            assert (plan is before) == (acyclic_before and acyclic and gate_name in graph)
+            if acyclic:
+                position = {gate: i for i, gate in enumerate(plan.gate_order)}
+                assert all(position[u] < position[v] for u, v in graph.edges)
+
+            expected = _simulate_legacy(
+                netlist, _resolved_inputs(netlist, None, num_patterns, seed),
+                num_patterns, 0,
+            )
+            result = simulate(netlist, None, num_patterns, seed)
+            assert result.outputs == expected.outputs
+            assert result.net_values == expected.net_values  # as mappings
+
+            gates = sorted(graph.nodes)
+            for index in range(0, len(gates), max(1, len(gates) // 6)):
+                sink_gate = gates[index]
+                driver_gate = gates[(index * 7 + pick) % len(gates)]
+                loop = driver_gate == sink_gate or nx.has_path(graph, sink_gate, driver_gate)
+                assert engine.closes_loop(netlist, driver_gate, sink_gate) == loop
 
 
 class TestPlanCache:

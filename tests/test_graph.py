@@ -1,5 +1,8 @@
 """Tests for netlist graph analysis (loops, orderings, reachability)."""
 
+import ast
+import importlib
+
 import networkx as nx
 import pytest
 
@@ -119,3 +122,20 @@ class TestReachability:
 
     def test_self_loop(self, chain):
         assert would_create_loop(chain, "g2", "g2")
+
+
+class TestNetworkxFreeHotPaths:
+    """The randomize loop and STA run on dict graphs, never on networkx."""
+
+    @pytest.mark.parametrize("module", ("repro.core.randomizer", "repro.timing.sta"))
+    def test_module_imports_no_networkx(self, module):
+        path = importlib.import_module(module).__file__
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert not {name for name in imported if name.split(".")[0] == "networkx"}

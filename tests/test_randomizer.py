@@ -1,10 +1,150 @@
 """Tests for the OER-driven netlist randomizer."""
 
+from typing import Dict, List, Optional, Set
+
+import networkx as nx
 import pytest
 
-from repro.core.randomizer import RandomizerConfig, randomize_netlist
-from repro.netlist.graph import has_combinational_loop
+from repro.circuits import iscas85_netlist, superblue_netlist
+from repro.core.flow import _num_eligible_sinks
+from repro.core.randomizer import (
+    RandomizationResult,
+    RandomizerConfig,
+    SwapRecord,
+    _driver_gate,
+    _swappable_sinks,
+    randomize_netlist,
+)
+from repro.netlist.graph import has_combinational_loop, netlist_to_digraph
+from repro.netlist.netlist import Netlist, PinRef
 from repro.netlist.simulate import output_error_rate
+from repro.utils.rng import make_rng
+
+
+class _ReferenceLoopChecker:
+    """The retired networkx loop checker: ``has_path`` on a multiplicity
+    graph that swaps edit edge by edge."""
+
+    def __init__(self, netlist: Netlist):
+        graph = netlist_to_digraph(netlist)
+        graph.remove_nodes_from(
+            [name for name, data in graph.nodes(data=True) if data.get("sequential")]
+        )
+        self._graph = nx.DiGraph()
+        self._graph.add_nodes_from(graph.nodes())
+        for u, v in graph.edges():
+            self._graph.add_edge(u, v, count=1)
+
+    def would_create_loop(self, driver_gate: Optional[str], sink_gate: str) -> bool:
+        if driver_gate is None:
+            return False
+        if driver_gate == sink_gate:
+            return True
+        if driver_gate not in self._graph or sink_gate not in self._graph:
+            return False
+        return nx.has_path(self._graph, sink_gate, driver_gate)
+
+    def remove_edge(self, driver_gate: Optional[str], sink_gate: str) -> None:
+        if driver_gate is None or not self._graph.has_edge(driver_gate, sink_gate):
+            return
+        data = self._graph[driver_gate][sink_gate]
+        data["count"] -= 1
+        if data["count"] <= 0:
+            self._graph.remove_edge(driver_gate, sink_gate)
+
+    def add_edge(self, driver_gate: Optional[str], sink_gate: str) -> None:
+        if driver_gate is None or sink_gate not in self._graph:
+            return
+        if self._graph.has_edge(driver_gate, sink_gate):
+            self._graph[driver_gate][sink_gate]["count"] += 1
+        else:
+            self._graph.add_edge(driver_gate, sink_gate, count=1)
+
+
+def randomize_reference(netlist: Netlist, config: RandomizerConfig) -> RandomizationResult:
+    """Oracle: the retired randomize loop.
+
+    Swaps go through plain ``move_sink``, so every OER evaluation recompiles
+    the erroneous netlist's plan, and loops are checked by
+    :class:`_ReferenceLoopChecker` with both removed edges taken out first.
+    """
+    rng = make_rng(config.seed, "randomizer", netlist.name)
+    erroneous = netlist.copy(f"{netlist.name}_erroneous")
+    checker = _ReferenceLoopChecker(erroneous)
+    swaps: Dict[PinRef, SwapRecord] = {}
+    protected: Set[str] = set()
+    oer_history: List[float] = []
+    oer = 0.0
+    eligible_sinks = [sink for _net, sink in _swappable_sinks(erroneous)]
+
+    def attempt_pair() -> bool:
+        if len(eligible_sinks) < 2:
+            return False
+        sink_a, sink_b = rng.sample(eligible_sinks, 2)
+        net_a = erroneous.gates[sink_a[0]].net_on(sink_a[1])
+        net_b = erroneous.gates[sink_b[0]].net_on(sink_b[1])
+        if net_a is None or net_b is None or net_a == net_b:
+            return False
+        if sink_a in swaps or sink_b in swaps:
+            return False
+        driver_a = _driver_gate(erroneous, net_a)
+        driver_b = _driver_gate(erroneous, net_b)
+        checker.remove_edge(driver_a, sink_a[0])
+        checker.remove_edge(driver_b, sink_b[0])
+        if (checker.would_create_loop(driver_b, sink_a[0])
+                or checker.would_create_loop(driver_a, sink_b[0])):
+            checker.add_edge(driver_a, sink_a[0])
+            checker.add_edge(driver_b, sink_b[0])
+            return False
+        original_a = erroneous.move_sink(sink_a[0], sink_a[1], net_b)
+        original_b = erroneous.move_sink(sink_b[0], sink_b[1], net_a)
+        checker.add_edge(driver_b, sink_a[0])
+        checker.add_edge(driver_a, sink_b[0])
+        swaps[sink_a] = SwapRecord(sink=sink_a, original_net=original_a, erroneous_net=net_b)
+        swaps[sink_b] = SwapRecord(sink=sink_b, original_net=original_b, erroneous_net=net_a)
+        protected.update((original_a, original_b))
+        return True
+
+    max_attempts = config.max_swaps * 8
+    attempts = 0
+    while len(swaps) < config.max_swaps and attempts < max_attempts:
+        accepted = 0
+        for _ in range(config.batch_pairs):
+            attempts += 1
+            if len(swaps) >= config.max_swaps or attempts >= max_attempts:
+                break
+            if attempt_pair():
+                accepted += 1
+        if accepted == 0 and attempts >= max_attempts:
+            break
+        oer = output_error_rate(
+            netlist, erroneous, num_patterns=config.oer_patterns, seed=config.seed
+        )
+        oer_history.append(oer)
+        if oer >= config.target_oer_percent and len(swaps) >= config.min_swaps:
+            break
+    return RandomizationResult(
+        original=netlist, erroneous=erroneous, swaps=list(swaps.values()),
+        protected_nets=protected, oer_percent=oer, oer_history=oer_history,
+    )
+
+
+def step_config(netlist: Netlist, fraction: float, seed: int,
+                oer_patterns: int = 1024) -> RandomizerConfig:
+    """The randomizer settings ``protect`` uses for one budget step."""
+    target = min(800, max(2, int(_num_eligible_sinks(netlist) * fraction)))
+    return RandomizerConfig(
+        target_oer_percent=99.0, max_swaps=max(800, target), min_swaps=target,
+        batch_pairs=max(8, target // 8), oer_patterns=oer_patterns, seed=seed,
+    )
+
+
+def assert_same_randomization(result: RandomizationResult,
+                              expected: RandomizationResult) -> None:
+    assert result.swaps == expected.swaps
+    assert result.oer_history == expected.oer_history
+    assert result.oer_percent == expected.oer_percent
+    assert result.protected_nets == expected.protected_nets
 
 
 class TestRandomizer:
@@ -98,3 +238,29 @@ class TestRandomizer:
         )
         assert result.oer_history
         assert result.oer_history[-1] >= result.oer_history[0]
+
+
+class TestRetiredLoopOracle:
+    """The patched-plan loop makes exactly the retired loop's choices."""
+
+    @pytest.mark.parametrize("name,seed", [
+        ("c432", 0), ("c432", 3), ("c432", 7),
+        ("c880", 1), ("c880", 4),
+        ("c1908", 2), ("c1908", 5),
+    ])
+    @pytest.mark.parametrize("fraction", (0.05, 0.10))
+    def test_iscas_matches_retired_loop(self, name, seed, fraction):
+        netlist = iscas85_netlist(name, seed=1)
+        config = step_config(netlist, fraction, seed)
+        result = randomize_netlist(netlist, config)
+        assert_same_randomization(result, randomize_reference(netlist, config))
+        assert not has_combinational_loop(result.erroneous)
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_sequential_superblue_matches_retired_loop(self, seed):
+        netlist = superblue_netlist("superblue18", scale=0.001, seed=1)
+        config = RandomizerConfig(max_swaps=60, min_swaps=60, target_oer_percent=100.0,
+                                  oer_patterns=128, seed=seed)
+        result = randomize_netlist(netlist, config)
+        assert result.num_swaps > 0
+        assert_same_randomization(result, randomize_reference(netlist, config))

@@ -22,6 +22,7 @@ from repro.api.spec import ScenarioSpec
 from repro.api.workspace import Workspace, default_jobs
 from repro.exec import FaultPlan, RetryPolicy
 from repro.service import ScenarioService
+from repro.service import jobs as jobs_module
 from repro.service.schemas import validate_job_dict
 from repro.store import ArtifactStore
 
@@ -440,3 +441,62 @@ def test_resubmitting_a_finished_job_joins_it(service):
     status, body = request(service, "GET", f"/v1/jobs/{job_id}/result")
     assert status == 200
     assert service.manager.workspace.stats()["builds_run"] == runs_before
+
+
+# -- bounded job table -----------------------------------------------------
+
+
+def _seed_spec(seed: int) -> Dict[str, Any]:
+    return {**{k: v for k, v in SPEC.items() if k != "seeds"}, "seed": seed}
+
+
+def test_finished_jobs_evicted_least_recently_finished_first(service, monkeypatch):
+    monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+    ids = []
+    for seed in range(3):
+        status, wire = submit_and_wait(service, _seed_spec(seed))
+        assert status == 200
+        ids.append(wire["job"]["id"])
+    status, body = request(service, "GET", f"/v1/jobs/{ids[0]}")
+    assert status == 404
+    assert "unknown job" in body["error"]
+    for job_id in ids[1:]:
+        assert request(service, "GET", f"/v1/jobs/{job_id}")[0] == 200
+    assert [job.record.id for job in service.manager.list_jobs()] == ids[1:]
+
+    # The evicted spec comes back as a fresh job, which evicts the next oldest.
+    status, again = request(service, "POST", "/v1/jobs", body=_seed_spec(0))
+    assert status == 201
+    assert again["created"] is True
+    assert again["job"]["id"] == ids[0]
+    assert again["job"]["requests"] == 1
+    status, _body = request(service, "GET", f"/v1/jobs/{ids[0]}/result?wait=120")
+    assert status == 200
+    assert request(service, "GET", f"/v1/jobs/{ids[1]}")[0] == 404
+    assert request(service, "GET", f"/v1/jobs/{ids[2]}")[0] == 200
+
+
+def test_running_jobs_are_never_evicted(monkeypatch):
+    monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+    ws = Workspace(store=None)
+    svc = ScenarioService(ws).start()
+    held = _seed_spec(9)
+    key = ScenarioSpec.from_dict(held).build_key()
+    owned, _foreign = ws._claim_builds([key])
+    assert owned == [key]
+    try:
+        status, created = request(svc, "POST", "/v1/jobs", body=held)
+        assert status == 201
+        held_id = created["job"]["id"]
+        for seed in range(3):
+            assert submit_and_wait(svc, _seed_spec(seed))[0] == 200
+        status, record = request(svc, "GET", f"/v1/jobs/{held_id}")
+        assert status == 200
+        assert record["state"] not in ("done", "failed", "partial")
+        assert len(svc.manager.list_jobs()) == 2  # the held job + one finished
+    finally:
+        ws._release_builds([key])
+    status, _body = request(svc, "GET", f"/v1/jobs/{held_id}/result?wait=120")
+    assert status == 200
+    assert [job.record.id for job in svc.manager.list_jobs()] == [held_id]
+    svc.stop()

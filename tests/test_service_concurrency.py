@@ -204,3 +204,37 @@ def test_concurrent_jobs_overlapping_seeds_build_union_once():
         assert ws.stats()["builds_run"] == 4
     finally:
         svc.stop()
+
+
+# -- bounded job table under concurrent submit/finish ------------------------
+
+
+def test_job_table_bound_holds_under_concurrent_submits(monkeypatch):
+    """Submits racing finishes: every job completes and the table settles
+    at the bound, holding exactly the most recently finished jobs."""
+    import sys
+
+    from repro.service import jobs as jobs_module
+    from repro.service.jobs import JobManager
+
+    monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 3)
+    manager = JobManager(Workspace(store=None), max_workers=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def submit_some() -> List[Any]:
+            return [manager.submit({**{k: v for k, v in SPEC.items() if k != "seeds"},
+                                    "seed": seed})[0]
+                    for seed in range(6)]
+        outcomes = _hammer(8, submit_some)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        submitted = [job for outcome in outcomes for job in outcome]
+        assert all(job.wait(timeout=120) for job in submitted)
+        assert all(job.record.state == "done" for job in submitted)
+        table = manager.list_jobs()
+        assert len(table) == 3
+        assert {job.record.id for job in table} == set(manager._finished)
+    finally:
+        manager.close()

@@ -1,8 +1,12 @@
 """Tests for the STA and power models."""
 
+import networkx as nx
 import pytest
 
+from repro.circuits import iscas85_netlist, superblue_netlist
+from repro.netlist.graph import netlist_to_digraph, topological_gate_order
 from repro.netlist.netlist import Netlist
+from repro.timing import sta
 from repro.timing.power import estimate_power
 from repro.timing.sta import WireModel, static_timing_analysis
 
@@ -72,6 +76,44 @@ class TestSTA:
             c432_layout.net_top_layers(),
         )
         assert report.critical_path_ps > 0
+
+
+def _networkx_gate_order(netlist):
+    """Reference STA order: ``nx.topological_sort`` of the combinational graph."""
+    graph = netlist_to_digraph(netlist)
+    sequential = [n for n, data in graph.nodes(data=True) if data.get("sequential")]
+    graph.remove_nodes_from(sequential)
+    return sequential + list(nx.topological_sort(graph))
+
+
+class TestSTAOrderRegression:
+    """STA on the dict-based Kahn order matches a networkx-ordered run."""
+
+    @pytest.mark.parametrize("netlist", [
+        pytest.param(lambda: iscas85_netlist("c432", seed=1), id="c432"),
+        pytest.param(lambda: iscas85_netlist("c880", seed=1), id="c880"),
+        pytest.param(lambda: iscas85_netlist("c1908", seed=1), id="c1908"),
+        pytest.param(lambda: superblue_netlist("superblue18", scale=0.002, seed=1),
+                     id="superblue18-flops"),
+    ])
+    def test_matches_networkx_ordered_run(self, netlist, monkeypatch):
+        netlist = netlist()
+        lengths = {name: 1.0 + (index * 37 % 251) for index, name in enumerate(netlist.nets)}
+        layers = {name: 2 + index % 8 for index, name in enumerate(netlist.nets)}
+        for args in ((), (lengths, layers)):
+            report = static_timing_analysis(netlist, *args)
+            with monkeypatch.context() as patch:
+                patch.setattr(sta, "topological_gate_order", _networkx_gate_order)
+                expected = static_timing_analysis(netlist, *args)
+            assert report.critical_path_ps == expected.critical_path_ps
+            assert report.critical_path == expected.critical_path
+            assert report.arrival_times_ps == expected.arrival_times_ps
+            assert report.gate_delays_ps == expected.gate_delays_ps
+        assert topological_gate_order(netlist) == _networkx_gate_order(netlist)
+
+    def test_flop_netlist_has_sequential_gates(self):
+        netlist = superblue_netlist("superblue18", scale=0.002, seed=1)
+        assert any(gate.cell.is_sequential for gate in netlist.gates.values())
 
 
 class TestPower:
