@@ -3,8 +3,10 @@
 Measures the proximity attack, the Table 1 / Fig. 4 distance statistics and
 placement HPWL on the seed-equivalent legacy paths (per-object Python loops)
 versus the columnar/grid-accelerated implementations, on superblue-scale
-layouts, and writes a ``BENCH_layout.json`` perf-trajectory artifact next to
-``BENCH_sim.json``::
+layouts, plus FEOL extraction (``extract_feol`` on the routing columns
+versus the per-connection object walk kept in ``tests/test_feol_columns.py``)
+on a fresh ``route()`` layout and on a store-decoded one, and writes a
+``BENCH_layout.json`` perf-trajectory artifact next to ``BENCH_sim.json``::
 
     PYTHONPATH=src python benchmarks/bench_layout.py              # writes BENCH_layout.json
     PYTHONPATH=src python benchmarks/bench_layout.py --scales 0.0025 0.01
@@ -20,6 +22,7 @@ charged to the columnar side.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import platform
@@ -32,23 +35,36 @@ from typing import Callable, Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from repro.attacks.proximity import (  # noqa: E402
     proximity_attack,
     proximity_attack_reference,
 )
+from repro.circuits import iscas85_netlist  # noqa: E402
 from repro.circuits.superblue import superblue_netlist  # noqa: E402
 from repro.layout import build_layout  # noqa: E402
 from repro.layout.geometry import manhattan  # noqa: E402
 from repro.layout.placer import placement_hpwl  # noqa: E402
 from repro.metrics.distances import distance_stats  # noqa: E402
 from repro.sm.split import extract_feol  # noqa: E402
+from repro.store import codec  # noqa: E402
 from repro.utils.host import host_metadata  # noqa: E402
+from test_feol_columns import (  # noqa: E402
+    _reference_extract_feol,
+    assert_views_equal,
+)
 
 _log = logging.getLogger("repro.bench.layout")
 
 #: Split layer of the superblue routing-centric evaluation (paper setup).
 SPLIT_LAYER = 6
+
+#: ISCAS-85 circuit of the FEOL-extraction rows (the largest; ``--smoke``
+#: uses the smallest) and its split layer (the scenario default, M4).
+FEOL_ISCAS = "c7552"
+FEOL_ISCAS_SMOKE = "c432"
+ISCAS_SPLIT_LAYER = 4
 
 
 def _timeit(fn: Callable[[], object], repeat: int) -> float:
@@ -222,6 +238,81 @@ def bench_config(benchmark: str, scale: float, seed: int,
     }
 
 
+def _gc_paused(fn: Callable[[], object]) -> float:
+    """One wall-clock sample of ``fn`` with the cyclic GC paused.
+
+    Both extraction paths allocate tens of thousands of small objects; a
+    collection pause lands on whichever sample crosses the allocation
+    threshold and costs in proportion to everything alive, so un-paused
+    samples depend on what ran before (see ``bench_build.py``).
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def _decoded(netlist, layout):
+    """A store round-trip of ``layout``: a fresh decoded, lazy layout."""
+    from repro.api.schemes import SchemeBuild
+
+    build = SchemeBuild(scheme="original", layout=layout, baseline=layout)
+    record, arrays = codec.encode_build(build, netlist)
+    return codec.decode_build(record, arrays, netlist).layout
+
+
+def bench_extract_feol(label: str, scale, netlist, split_layer: int, seed: int,
+                       repeat: int) -> List[Dict[str, object]]:
+    """``extract_feol`` vs the object-walk oracle, on a fresh ``route()``
+    layout and on a store-decoded one.
+
+    The oracle materializes every net it walks, so each legacy sample runs
+    on a layout that has never been touched (the cost extraction used to
+    pay per scenario); the columnar path never materializes, so its samples
+    reuse one layout.  Both paths are asserted bit-exact first.
+    """
+    routed = build_layout(netlist, seed=seed)
+    variants = {
+        "route": lambda: build_layout(netlist, seed=seed),
+        "decoded": lambda: _decoded(netlist, routed),
+    }
+    rows: List[Dict[str, object]] = []
+    for kind, fresh in variants.items():
+        layout = fresh()
+        view = extract_feol(layout, split_layer)
+        assert_views_equal(view, _reference_extract_feol(fresh(), split_layer))
+
+        columnar_s = statistics.median(
+            _gc_paused(lambda: extract_feol(layout, split_layer))
+            for _ in range(repeat)
+        )
+        legacy_samples: List[float] = []
+        for _ in range(max(1, repeat // 2)):
+            untouched = fresh()
+            legacy_samples.append(_gc_paused(
+                lambda: _reference_extract_feol(untouched, split_layer)))
+        legacy_s = statistics.median(legacy_samples)
+        rows.append({
+            "benchmark": label,
+            "scale": scale,
+            "layout": kind,
+            "split_layer": split_layer,
+            "num_open_connections": len(view.open_connections),
+            "timings_s": {"columnar_s": round(columnar_s, 6),
+                          "legacy_s": round(legacy_s, 6)},
+            "speedup": round(legacy_s / columnar_s, 2),
+        })
+    route_row, decoded_row = rows
+    for key in ("columnar_s", "legacy_s"):
+        decoded_row[f"decoded_over_route_{key[:-2]}"] = round(
+            decoded_row["timings_s"][key] / route_row["timings_s"][key], 2)
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--benchmark", default="superblue12",
@@ -245,6 +336,16 @@ def main() -> None:
         bench_config(args.benchmark, scale, args.seed, args.repeat)
         for scale in args.scales
     ]
+    iscas = FEOL_ISCAS_SMOKE if args.smoke else FEOL_ISCAS
+    feol_scale = max(args.scales)
+    feol_rows = bench_extract_feol(
+        iscas, None, iscas85_netlist(iscas, seed=args.seed),
+        ISCAS_SPLIT_LAYER, args.seed, args.repeat,
+    ) + bench_extract_feol(
+        args.benchmark, feol_scale,
+        superblue_netlist(args.benchmark, scale=feol_scale, seed=args.seed),
+        SPLIT_LAYER, args.seed, args.repeat,
+    )
     largest = max(configs, key=lambda c: c["num_gates"])
     generated_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
     payload = {
@@ -258,10 +359,17 @@ def main() -> None:
                 "grid/array implementations of repro.layout.arrays.  Cold numbers "
                 "rebuild the cached views (first touch after a geometry edit), "
                 "warm numbers reuse them.  The columnar paths are asserted "
-                "bit-exact against the legacy paths before timing."
+                "bit-exact against the legacy paths before timing.  "
+                "extract_feol rows (GC paused while timing, median of "
+                "samples): columnar = extract_feol on the routing columns "
+                "(samples reuse one layout, it never materializes); legacy = "
+                "the per-connection object walk (tests/test_feol_columns.py), "
+                "each sample on an untouched layout so it pays the "
+                "materialization it triggers."
             ),
         },
         "configs": configs,
+        "extract_feol": feol_rows,
         "largest_config_speedups": largest["speedups"],
     }
     # Sorted keys keep the committed artifact (and CI log diffs) stable.
@@ -274,6 +382,12 @@ def main() -> None:
             config["speedups"]["proximity_cold"],
             config["speedups"]["proximity_warm"],
             config["speedups"]["distance_stats_cold"],
+        )
+    for row in feol_rows:
+        _log.info(
+            "extract_feol %s@%s (%s): x%s (%s open connections)",
+            row["benchmark"], row["scale"], row["layout"], row["speedup"],
+            row["num_open_connections"],
         )
 
 

@@ -31,7 +31,7 @@ HOST_KEYS = (
 
 #: Required top-level result sections per artefact kind.
 SECTIONS = {
-    "layout": ("configs", "largest_config_speedups"),
+    "layout": ("configs", "largest_config_speedups", "extract_feol"),
     "build": ("build_path", "seed_sweep", "seed_batch", "store"),
     "sim": ("simulation", "attack", "speedups_vs_seed"),
 }
@@ -98,6 +98,19 @@ def check_payload(payload: Any, kind: str) -> List[str]:
             for key in ("benchmark", "timings_s", "speedups"):
                 if key not in config:
                     problems.append(f"configs[{index}].{key} missing")
+    if kind == "layout" and isinstance(payload.get("extract_feol"), list):
+        layouts = set()
+        for index, row in enumerate(payload["extract_feol"]):
+            if not isinstance(row, dict):
+                problems.append(f"extract_feol[{index}] is not an object")
+                continue
+            for key in ("benchmark", "layout", "timings_s", "speedup"):
+                if key not in row:
+                    problems.append(f"extract_feol[{index}].{key} missing")
+            layouts.add(row.get("layout"))
+        if not {"route", "decoded"} <= layouts:
+            problems.append(
+                "extract_feol needs both a 'route' and a 'decoded' row")
     return problems
 
 

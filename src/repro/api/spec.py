@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -35,6 +37,32 @@ _LAYOUT_ALIASES = {"proposed": "protected"}
 #: one build per seed, so the bound keeps a ``{"start": 0, "count": 10**9}``
 #: request from materializing a billion-element tuple.
 MAX_SWEEP_SEEDS = 10_000
+
+
+def _integer(value: Any, what: str) -> int:
+    """``value`` as an int: integers and integral finite floats only.
+
+    Bools, non-integral or non-finite floats, strings and everything else
+    are a :class:`ValueError` (a 400 on the wire) instead of being
+    truncated by ``int()`` or overflowing on ``int(1e400)``.
+    """
+    if type(value) is int:  # the common case, without the ABC checks below
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _scale(value: Any) -> Optional[float]:
+    """A superblue scale: ``None`` or a finite number > 0 (not a bool)."""
+    if value is None:
+        return None
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        return value
+    raise ValueError(f"scale must be a finite number > 0, got {value!r}")
 
 
 def _normalize_seeds(seeds: Any) -> Optional[Tuple[int, ...]]:
@@ -56,8 +84,8 @@ def _normalize_seeds(seeds: Any) -> Optional[Tuple[int, ...]]:
             )
         if "count" not in seeds:
             raise TypeError("seeds ranges require a 'count' key")
-        start = int(seeds.get("start", 0))
-        count = int(seeds["count"])
+        start = _integer(seeds.get("start", 0), "seeds start")
+        count = _integer(seeds["count"], "seeds count")
         if count <= 0:
             raise ValueError(f"seeds count must be positive, got {count}")
         if count > MAX_SWEEP_SEEDS:
@@ -69,7 +97,7 @@ def _normalize_seeds(seeds: Any) -> Optional[Tuple[int, ...]]:
             "seeds must be a list of ints or a {start, count} mapping "
             f"(got the string {seeds!r}; the CLI parses 'a:b' spellings)"
         )
-    values = tuple(int(seed) for seed in seeds)
+    values = tuple(_integer(seed, "seed") for seed in seeds)
     if not values:
         raise ValueError("seeds must not be empty (use None for single-seed)")
     if len(values) > MAX_SWEEP_SEEDS:
@@ -196,8 +224,11 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", _normalize_seeds(self.seeds))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "scale", _scale(self.scale))
         if self.netlist_seed is not None:
-            object.__setattr__(self, "netlist_seed", int(self.netlist_seed))
+            object.__setattr__(
+                self, "netlist_seed", _integer(self.netlist_seed, "netlist_seed"))
         object.__setattr__(self, "scheme_params", _freeze_params(self.scheme_params))
         layouts = tuple(
             _LAYOUT_ALIASES.get(str(layout), str(layout)) for layout in self.layouts
@@ -210,7 +241,8 @@ class ScenarioSpec:
                 )
         object.__setattr__(self, "layouts", layouts)
         object.__setattr__(
-            self, "split_layers", tuple(int(layer) for layer in self.split_layers)
+            self, "split_layers",
+            tuple(_integer(layer, "split layer") for layer in self.split_layers),
         )
         attacks = tuple(AttackSpec.coerce(a) for a in self.attacks)
         metrics = tuple(MetricSpec.coerce(m) for m in self.metrics)

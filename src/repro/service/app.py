@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.api.registry import ATTACKS, DEFENSES, METRICS
@@ -46,6 +47,22 @@ _JSON = "application/json"
 
 #: Largest accepted request body; longer ones are refused with 413 unread.
 MAX_BODY_BYTES = 1 << 20
+
+
+def _nonnegative(query: Dict[str, str], name: str,
+                 parse: Callable[[str], Any]) -> Optional[Any]:
+    """Query parameter ``name`` parsed by ``parse`` (0 when absent); None
+    when it is malformed, negative or not finite."""
+    raw = query.get(name)
+    if not raw:
+        return 0
+    try:
+        value = parse(raw)
+        if not math.isfinite(value) or value < 0:
+            return None
+    except (ValueError, OverflowError):  # OverflowError: isfinite(10**400)
+        return None
+    return value
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -117,8 +134,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         path, _query = self._query()
-        if path != "/v1/jobs":
-            return self._error(404, f"no route for POST {path}")
+        try:
+            if path != "/v1/jobs":
+                return self._error(404, f"no route for POST {path}")
+            return self._post_job()
+        except BrokenPipeError:
+            pass  # client went away before the response; nothing to clean up
+        except Exception as error:  # noqa: BLE001 - handler must not die
+            log.warning("service: POST %s failed", path, exc_info=True)
+            try:
+                self._error(500, f"internal error: {type(error).__name__}")
+            except Exception:  # noqa: BLE001
+                pass
+
+    # -- endpoints ---------------------------------------------------------
+
+    def _post_job(self) -> None:
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -133,18 +164,17 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8") or "null")
-        except (ValueError, UnicodeDecodeError) as error:
+        except (ValueError, UnicodeDecodeError, RecursionError) as error:
             return self._error(400, f"invalid JSON body: {error}")
         try:
             job, created = self.service.manager.submit(payload)
-        except (TypeError, ValueError, KeyError) as error:
+        except (TypeError, ValueError, KeyError, OverflowError,
+                RecursionError) as error:
             return self._error(400, f"invalid spec: {error}")
         except RuntimeError as error:
             return self._error(503, str(error))
         body = {"created": created, "job": job.record.to_dict()}
         self._send_json(201 if created else 200, body)
-
-    # -- endpoints ---------------------------------------------------------
 
     def _get_health(self) -> None:
         from repro import __version__
@@ -173,7 +203,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"jobs": records})
 
     def _get_result(self, job: Job, query: Dict[str, str]) -> None:
-        wait = float(query.get("wait", 0) or 0)
+        wait = _nonnegative(query, "wait", float)
+        if wait is None:
+            return self._error(
+                400, "wait must be a finite, non-negative number of seconds")
         if wait > 0:
             job.wait(min(wait, 300.0))
         record = job.record
@@ -191,7 +224,9 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _get_events(self, job: Job, query: Dict[str, str]) -> None:
-        start = int(query.get("start", 0) or 0)
+        start = _nonnegative(query, "start", int)
+        if start is None:
+            return self._error(400, "start must be a non-negative integer")
         sse = "text/event-stream" in (self.headers.get("Accept") or "")
         self.send_response(200)
         self.send_header(

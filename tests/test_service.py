@@ -14,9 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import http.client
+import math
+import time
 from typing import Any, Dict, Optional, Tuple
+from urllib.parse import quote
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api.spec import ScenarioSpec
 from repro.api.workspace import Workspace, default_jobs
@@ -500,3 +505,256 @@ def test_running_jobs_are_never_evicted(monkeypatch):
     assert status == 200
     assert [job.record.id for job in svc.manager.list_jobs()] == [held_id]
     svc.stop()
+
+
+# -- trust boundary: malformed numbers never drop the connection ----------
+
+
+def _post_raw(service: ScenarioService, raw: bytes,
+              timeout: float = 10) -> Tuple[int, Any]:
+    """POST ``raw`` verbatim (``json.dumps`` cannot spell ``1e400``)."""
+    conn = http.client.HTTPConnection(service.host, service.port,
+                                      timeout=timeout)
+    try:
+        conn.request("POST", "/v1/jobs", body=raw,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"benchmark": "c432", "seeds": {"start": 0, "count": 1e400}}',
+    b'{"benchmark": "c432", "seeds": [1e400]}',
+    b'{"benchmark": "c432", "seeds": [1.5]}',
+    b'{"benchmark": "c432", "seeds": {"start": 0, "count": 2.9}}',
+    b'{"benchmark": "c432", "seeds": {"start": 0.5, "count": 2}}',
+    b'{"benchmark": "c432", "seeds": [true, 2]}',
+    b'{"benchmark": "c432", "seed": 1e400}',
+    b'{"benchmark": "c432", "seed": 2.5}',
+    b'{"benchmark": "c432", "seed": false}',
+    b'{"benchmark": "c432", "netlist_seed": 1e400}',
+    b'{"benchmark": "c432", "scale": NaN}',
+    b'{"benchmark": "c432", "scale": Infinity}',
+    b'{"benchmark": "c432", "scale": 0}',
+    b'{"benchmark": "c432", "scale": -0.01}',
+    b'{"benchmark": "c432", "scale": true}',
+    b'{"benchmark": "c432", "split_layers": [1e400]}',
+    b'{"benchmark": "c432", "split_layers": [4.5]}',
+])
+def test_non_integral_or_non_finite_numbers_400(service, raw):
+    status, body = _post_raw(service, raw)
+    assert status == 400, body
+    assert "invalid spec" in body["error"]
+    assert service.manager.list_jobs() == []
+
+
+def test_integral_floats_hash_like_ints():
+    as_int = ScenarioSpec.from_dict({**SPEC, "seed": 3})
+    as_float = ScenarioSpec.from_dict({**SPEC, "seed": 3.0})
+    assert as_float.seed == 3 and isinstance(as_float.seed, int)
+    assert as_float.content_hash() == as_int.content_hash()
+    ranged = ScenarioSpec.from_dict({**SPEC, "seeds": {"start": 0.0, "count": 3.0}})
+    assert ranged.content_hash() == ScenarioSpec.from_dict(SPEC).content_hash()
+
+
+@pytest.mark.parametrize("query", [
+    "wait=abc", "wait=-1", "wait=nan", "wait=inf", "wait=1e400",
+])
+def test_malformed_result_wait_400(service, query):
+    status, created = request(service, "POST", "/v1/jobs", body=_seed_spec(0))
+    job_id = created["job"]["id"]
+    status, body = request(service, "GET", f"/v1/jobs/{job_id}/result?{query}")
+    assert status == 400
+    assert "wait" in body["error"]
+    assert request(service, "GET", f"/v1/jobs/{job_id}/result?wait=120")[0] == 200
+
+
+@pytest.mark.parametrize("query", ["start=abc", "start=-3", "start=1.5",
+                                   "start=1" + "0" * 400])
+def test_malformed_events_start_400(service, query):
+    status, _wire = submit_and_wait(service, _seed_spec(0))
+    assert status == 200
+    job_id = _wire["job"]["id"]
+    status, body = request(service, "GET", f"/v1/jobs/{job_id}/events?{query}")
+    assert status == 400
+    assert "start" in body["error"]
+
+
+# -- Hypothesis wire fuzz --------------------------------------------------
+
+FUZZ_SPEC = {"benchmark": "c17", "scheme": "original", "metrics": ["distances"]}
+
+#: Generous per-request bound: every fuzzed request is answered from
+#: validation, the job table or the (read-only) store, never from a build.
+FUZZ_TIMEOUT_S = 20.0
+
+
+@pytest.fixture(scope="module")
+def fuzz_service(tmp_path_factory):
+    """A live service over a read-only store holding one finished c17 build.
+
+    Accepted fuzzed specs fail fast on the read-only store instead of
+    building; ``FUZZ_SPEC`` is answered from the store, so the query fuzz
+    has a finished job to poll and stream.
+    """
+    store_dir = tmp_path_factory.mktemp("fuzz_store")
+    Workspace(store=ArtifactStore(store_dir)).run_sweeps(
+        [ScenarioSpec.from_dict(FUZZ_SPEC)])
+    svc = ScenarioService(
+        Workspace(store=ArtifactStore(store_dir, readonly=True))).start()
+    status, wire = submit_and_wait(svc, FUZZ_SPEC)
+    assert status == 200, wire
+    svc.fuzz_job_id = wire["job"]["id"]
+    yield svc
+    svc.stop()
+
+
+#: JSON scalar spellings, including ones ``json.dumps`` never emits
+#: (``1e400``, ``NaN``), integral and non-integral floats and bools.
+_JSON_SCALARS = st.one_of(
+    st.sampled_from([
+        "1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true", "false",
+        "null", "0", "-1", "1.5", "2.9", "3.0", "1e18", "-0.0",
+        "123456789012345678901234567890", '"c17"', '"c432"', '"original"',
+        '"proposed"', '"protected"', '"proximity"', '"distances"', '""',
+    ]),
+    st.integers(min_value=-10**6, max_value=10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=8).map(json.dumps),
+)
+
+
+def _render_list(items) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+def _render_object(fields) -> str:
+    return "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in fields.items()) + "}"
+
+
+#: Any JSON text: scalars and nested lists/objects of them.
+_JSON_TEXT = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(_render_list),
+        st.dictionaries(st.sampled_from(["start", "count", "name", "params", "x"]),
+                        children, max_size=3).map(_render_object),
+    ),
+    max_leaves=8,
+)
+
+#: Field values shaped like the real thing (so the fuzz reaches the number
+#: parsing behind the container checks) or arbitrary JSON.
+_SHAPED = {
+    "seeds": st.one_of(
+        st.lists(_JSON_SCALARS, min_size=1, max_size=3).map(_render_list),
+        st.fixed_dictionaries({"count": _JSON_SCALARS},
+                              optional={"start": _JSON_SCALARS}).map(_render_object),
+    ),
+    "split_layers": st.lists(_JSON_SCALARS, max_size=3).map(_render_list),
+    "layouts": st.lists(_JSON_SCALARS, max_size=2).map(_render_list),
+    "attacks": st.lists(_JSON_SCALARS, max_size=2).map(_render_list),
+    "metrics": st.lists(_JSON_SCALARS, max_size=2).map(_render_list),
+    "scheme_params": st.dictionaries(
+        st.sampled_from(["swap_fraction", "seed", "x"]), _JSON_SCALARS,
+        max_size=2).map(_render_object),
+}
+_FIELDS = ("benchmark", "scheme", "scheme_params", "scale", "layouts",
+           "split_layers", "attacks", "metrics", "num_patterns", "seed",
+           "seeds", "netlist_seed", "bogus")
+
+
+def _field_value(name: str):
+    return st.one_of(_SHAPED.get(name, _JSON_SCALARS), _JSON_TEXT)
+
+
+_SPEC_FIELDS = st.lists(st.sampled_from(_FIELDS), unique=True, max_size=4).flatmap(
+    lambda names: st.tuples(*(_field_value(n) for n in names)).map(
+        lambda values: {"benchmark": '"c17"', **dict(zip(names, values))}))
+
+#: Request bodies: bare specs, ``{"spec", "on_error", "jobs"}`` envelopes
+#: and arbitrary JSON.
+_BODIES = st.one_of(
+    _SPEC_FIELDS.map(_render_object),
+    st.tuples(_SPEC_FIELDS, _JSON_TEXT, _JSON_SCALARS).map(
+        lambda t: _render_object({"spec": _render_object(t[0]),
+                                  "on_error": t[1], "jobs": t[2]})),
+    _JSON_TEXT,
+)
+
+
+def _assert_answered(status: int, body: Any, elapsed: float) -> None:
+    assert elapsed < FUZZ_TIMEOUT_S
+    assert 200 <= status < 300 or 400 <= status < 500, (status, body)
+
+
+def _assert_accepted_spec_is_sane(spec: Dict[str, Any]) -> None:
+    """An accepted spec carries integer seeds and a finite positive scale."""
+    def integral(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    assert integral(spec["seed"]), spec
+    assert spec["seeds"] is None or all(integral(s) for s in spec["seeds"]), spec
+    assert spec["netlist_seed"] is None or integral(spec["netlist_seed"]), spec
+    scale = spec["scale"]
+    assert scale is None or (not isinstance(scale, bool)
+                             and math.isfinite(scale) and scale > 0), spec
+
+
+def _fuzz_post(service: ScenarioService, raw: bytes) -> None:
+    conn = http.client.HTTPConnection(service.host, service.port,
+                                      timeout=FUZZ_TIMEOUT_S)
+    start = time.perf_counter()
+    try:
+        conn.request("POST", "/v1/jobs", body=raw,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        body = response.read()
+        # A complete response: the declared length arrived in full.
+        assert len(body) == int(response.getheader("Content-Length"))
+        _assert_answered(response.status, body,
+                         time.perf_counter() - start)
+        if response.status < 300:
+            _assert_accepted_spec_is_sane(json.loads(body)["job"]["spec"])
+    finally:
+        conn.close()
+
+
+_FUZZ_SETTINGS = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+_QUERY_VALUES = st.one_of(
+    st.sampled_from(["abc", "-3", "-0", "0", "1", "2.5", "1e400", "nan", "inf",
+                     "-inf", "1" + "0" * 400, " 7 ", "0x10", "", "1e-300",
+                     "3_0"]),
+    st.text(max_size=12),
+)
+
+
+@_FUZZ_SETTINGS
+@given(text=_BODIES)
+def test_wire_fuzz_post_bodies_get_2xx_or_4xx(fuzz_service, text):
+    _fuzz_post(fuzz_service, text.encode("utf-8"))
+    assert request(fuzz_service, "GET", "/v1/health")[0] == 200
+
+
+@_FUZZ_SETTINGS
+@given(endpoint=st.sampled_from(["result", "events"]),
+       name=st.sampled_from(["wait", "start", "x"]),
+       raw=_QUERY_VALUES, sse=st.booleans())
+def test_wire_fuzz_query_strings_get_2xx_or_4xx(fuzz_service, endpoint, name,
+                                                raw, sse):
+    headers = {"Accept": "text/event-stream"} if sse else {}
+    path = f"/v1/jobs/{fuzz_service.fuzz_job_id}/{endpoint}?{name}={quote(raw)}"
+    conn = http.client.HTTPConnection(
+        fuzz_service.host, fuzz_service.port, timeout=FUZZ_TIMEOUT_S)
+    start = time.perf_counter()
+    try:
+        conn.request("GET", path, headers=headers)
+        response = conn.getresponse()
+        body = response.read()  # streams end once the finished job is sealed
+        _assert_answered(response.status, body, time.perf_counter() - start)
+    finally:
+        conn.close()
